@@ -129,20 +129,6 @@ def _difference(u: np.ndarray, cfg: BurgersConfig) -> np.ndarray:
     return (u - np.roll(u, 1)) / cfg.dx
 
 
-def _difference_matrix(cfg: BurgersConfig) -> sp.csr_matrix:
-    n = cfg.n_points
-    eye = sp.identity(n, format="csr")
-    if cfg.upwind == "forward":
-        shift = sp.csr_matrix(
-            (np.ones(n), ((np.arange(n)), (np.arange(1, n + 1) % n))), shape=(n, n)
-        )
-        return (shift - eye) / cfg.dx
-    shift = sp.csr_matrix(
-        (np.ones(n), ((np.arange(n)), (np.arange(-1, n - 1) % n))), shape=(n, n)
-    )
-    return (eye - shift) / cfg.dx
-
-
 def _step_jacobian(u: np.ndarray, cfg: BurgersConfig) -> sp.csc_matrix:
     """dr/du at the state u: I + dt*(diag(Du) + diag(u) D), sparse."""
     n = u.size

@@ -96,7 +96,12 @@ def bfgs_minimize(
     backtrack: float = 0.5,
     max_backtracks: int = 40,
 ) -> OptResult:
-    """BFGS with backtracking Armijo line search and clamp-plus-penalty bounds."""
+    """BFGS with backtracking Armijo line search and clamp-plus-penalty bounds.
+
+    A step is accepted only if it strictly lowers f and meets the Armijo
+    test; if no backtrack does, the search stops and returns the best
+    iterate with ``converged`` false.
+    """
     if problem.gradient is None:
         raise ValueError("bfgs_minimize requires a gradient callable")
     t0 = time.perf_counter()
@@ -131,7 +136,9 @@ def bfgs_minimize(
         for _ in range(max_backtracks):
             trial = x + alpha * p
             f_trial = f(trial)
-            if f_trial <= fx + armijo_c * alpha * slope:
+            # Strict decrease as well: once fx + c*alpha*slope rounds to fx,
+            # Armijo alone accepts steps that do not lower f at all.
+            if f_trial < fx and f_trial <= fx + armijo_c * alpha * slope:
                 f_new = f_trial
                 break
             alpha *= backtrack

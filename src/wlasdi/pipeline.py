@@ -15,6 +15,7 @@ import hashlib
 import itertools
 import json
 import time
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -57,7 +58,7 @@ from .providers import (
     load_provider,
     save_provider,
 )
-from .rom import ButcherTableau, LatentModel, predict_full
+from .rom import ButcherTableau, LatentModel, StepOperator, predict_full
 from .sensitivity import (
     TargetMismatch,
     reduced_adjoint_gradient,
@@ -537,7 +538,9 @@ def run_bench(cfg: ExperimentConfig, out_dir, threads: int = 1) -> list[dict]:
     x = cfg.burgers.mesh()
     for row in rows:
         if row["method"] == "wlasdi" and row["optimizer"] == "bfgs":
-            u_hat = fom_solve(np.asarray(row["mu_hat"]), cfg.burgers).final_state()
+            # evaluate_recovery has already solved and cached this mu_hat
+            mu_hat = np.asarray(row["mu_hat"])
+            u_hat = _solve_or_load(cfg, mu_hat, cache_dir).final_state()
             overlay = np.column_stack([x, target, u_hat])
             label = f"{int(round(100 * row['noise']))}"
             np.savetxt(
@@ -583,10 +586,28 @@ def save_model(trained: TrainedSurrogate, cfg: ExperimentConfig, out_dir) -> Non
     }
     with open(out / "model.json", "w") as fh:
         json.dump(manifest, fh, indent=1)
-    # wall-clock metric kept out of the manifest so retraining with the
-    # same seed reproduces the model bundle byte for byte
+    # wall-clock metric and diagnostics kept out of the manifest so
+    # retraining with the same seed reproduces the model bundle byte for byte
     with open(out / "train_stats.json", "w") as fh:
-        json.dump({"train_seconds": trained.train_seconds}, fh, indent=1)
+        json.dump(_train_stats(trained, cfg), fh, indent=1)
+
+
+def _train_stats(trained: TrainedSurrogate, cfg: ExperimentConfig) -> dict:
+    """Training wall time and, for a degree-1 model, the spectrum of its
+    RK step map at the domain centre; warns when that map grows states."""
+    stats = {"train_seconds": trained.train_seconds}
+    model = trained.model
+    mu = cfg.domain.center()
+    op = StepOperator(model, model.provider.coefficients(mu))
+    if op.affine:
+        stats.update(op.spectrum())
+        radius = stats["step_spectral_radius"]
+        if radius > 1.0:
+            warnings.warn(
+                f"identified latent step map has spectral radius {radius:.6f} > 1 "
+                f"at the domain centre: predictions grow over the horizon"
+            )
+    return stats
 
 
 def load_model(model_dir) -> tuple[LatentModel, dict]:

@@ -21,6 +21,10 @@ scheme, drtilde_n/dz_{n-1} = -I - dt sum b_j dk_j/dz, and
 drtilde_n/dmu = -dt sum b_j dk_j/dmu. The n = 0 residual pins the encoded
 initial condition: rtilde_0 = z_0 - encode(g(mu)) (with the parameter block
 appended in the augmented formulation).
+
+``StepOperator`` packages one step and these partials at a frozen W(mu).
+For a degree-1 library the step is affine and both are built once per
+W(mu) rather than once per step.
 """
 from __future__ import annotations
 
@@ -39,6 +43,7 @@ __all__ = [
     "LatentModel",
     "LatentBlowupError",
     "rk_step",
+    "StepOperator",
     "integrate_latent",
     "predict_full",
     "latent_initial",
@@ -202,33 +207,126 @@ def rk_step(model: LatentModel, w: np.ndarray, z_prev: np.ndarray):
     return z_next, ys, ks
 
 
+class StepOperator:
+    """One explicit RK step z_n = step(z_{n-1}) at a frozen W(mu), with its
+    linearization, built once per W(mu).
+
+    With a degree-1 library W^T theta(z) = c + A z is affine, and so is the
+    step: z_n = M z_{n-1} + m, where [M m; 0 1] is the RK stability
+    polynomial of H = [[A, c], [0, 0]]. It is built by running the tableau's
+    own stage recursion on the (d+1) x (d+1) identity, and d[M m]/dmu_p by
+    pushing dH_p (H assembled from dW/dmu_p) through the same recursion.
+    Then dz_n/dz_{n-1} = M for every n, and the partial dz_n/dmu_p is
+    dM_p z_{n-1} + dm_p. Degree-2 libraries step through ``rk_step`` and
+    linearize through ``reduced_residual_partials`` at each state.
+    """
+
+    def __init__(self, model: LatentModel, w: np.ndarray, dw: np.ndarray | None = None):
+        self.model = model
+        self.w = w
+        self.dw = dw
+        self.affine = model.library.degree == 1
+        if self.affine:
+            d = model.state_dim
+            step, tangent = _affine_stage_recursion(model, w, dw)
+            self.matrix = step[:d, :d]
+            self.offset = step[:d, d]
+            self._dmatrix = None if tangent is None else tangent[:, :d, :d]
+            self._doffset = None if tangent is None else tangent[:, :d, d]
+
+    def advance(self, z_prev: np.ndarray) -> np.ndarray:
+        if self.affine:
+            return self.matrix @ z_prev + self.offset
+        return rk_step(self.model, self.w, z_prev)[0]
+
+    def linearize(self, z_prev: np.ndarray):
+        """(dz_n/dz_{n-1} (d, d), partial dz_n/dmu (d, n_mu) or None) at z_{n-1}.
+
+        These are -drtilde_n/dz_{n-1} and -drtilde_n/dmu.
+        """
+        if self.affine:
+            if self._dmatrix is None:
+                return self.matrix, None
+            return self.matrix, (self._dmatrix @ z_prev + self._doffset).T
+        _, dr_dz_prev, dr_dmu = reduced_residual_partials(
+            self.model, self.w, self.dw, z_prev
+        )
+        return -dr_dz_prev, None if dr_dmu is None else -dr_dmu
+
+    def trajectory(self, z0: np.ndarray) -> np.ndarray:
+        """States (steps+1, d) from z0; raises LatentBlowupError at the first
+        step whose sup norm leaves the guard band."""
+        steps = self.model.grid.steps
+        out = np.empty((steps + 1, z0.size))
+        out[0] = z0
+        guard = _BLOWUP_FACTOR * max(1.0, float(np.max(np.abs(z0))))
+        z = z0
+        # No per-step check: past the guard the recursion only overflows,
+        # so the first step over it is found afterwards.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for n in range(1, steps + 1):
+                z = self.advance(z)
+                out[n] = z
+            norms = np.max(np.abs(out[1:]), axis=1)
+        bad = np.flatnonzero(~(norms <= guard))
+        if bad.size:
+            raise LatentBlowupError(int(bad[0]) + 1, float(norms[bad[0]]))
+        return out
+
+    def spectrum(self) -> dict:
+        """Spectral radius of M and max Re(eig(A)) of an affine step."""
+        if not self.affine:
+            raise ValueError("the step spectrum needs a degree-1 library")
+        radius = np.max(np.abs(np.linalg.eigvals(self.matrix)))
+        growth = np.max(np.linalg.eigvals(self.w[1:].T).real)
+        return {"step_spectral_radius": float(radius), "max_real_eig": float(growth)}
+
+
+def _homogeneous(w: np.ndarray) -> np.ndarray:
+    """H = [[A, c], [0, 0]] for W^T [1; z] = c + A z, over leading axes of w."""
+    d = w.shape[-1]
+    h = np.zeros(w.shape[:-2] + (d + 1, d + 1))
+    h[..., :d, :d] = np.swapaxes(w[..., 1:, :], -1, -2)
+    h[..., :d, d] = w[..., 0, :]
+    return h
+
+
+def _affine_stage_recursion(model: LatentModel, w: np.ndarray, dw: np.ndarray | None):
+    """[M m; 0 1] and, when dw is given, its tangents (n_mu, d+1, d+1).
+
+    K_j = H (I + dt sum_{i<j} a_ji K_i), S = I + dt sum_j b_j K_j; the
+    tangent recursion differentiates each product with respect to H.
+    """
+    a, b = model.tableau.a, model.tableau.b
+    dt = model.grid.dt
+    h = _homogeneous(w)
+    dh = None if dw is None else _homogeneous(dw)
+    eye = np.eye(h.shape[0])
+    step = eye.copy()
+    tangent = None if dh is None else np.zeros_like(dh)
+    ks, dks = [], []
+    for j in range(model.tableau.stages):
+        y = eye.copy()
+        dy = None if dh is None else np.zeros_like(dh)
+        for i in range(j):
+            if a[j, i] != 0.0:
+                y += (dt * a[j, i]) * ks[i]
+                if dh is not None:
+                    dy += (dt * a[j, i]) * dks[i]
+        ks.append(h @ y)
+        step += (dt * b[j]) * ks[j]
+        if dh is not None:
+            dks.append(dh @ y + h @ dy)
+            tangent += (dt * b[j]) * dks[j]
+    return step, tangent
+
+
 def integrate_latent(model: LatentModel, mu, w: np.ndarray | None = None) -> np.ndarray:
     """Latent trajectory (steps+1, state_dim); W(mu) is frozen over the horizon."""
     mu = np.asarray(mu, dtype=float)
     if w is None:
         w = model.provider.coefficients(mu)
-    wt = np.ascontiguousarray(w.T)
-    a, b = model.tableau.a, model.tableau.b
-    s = model.tableau.stages
-    dt = model.grid.dt
-    lib = model.library
-
-    z0 = latent_initial(model, mu)
-    out = np.empty((model.grid.steps + 1, z0.size))
-    out[0] = z0
-    guard = _BLOWUP_FACTOR * max(1.0, float(np.max(np.abs(z0))))
-    z = z0
-    ks = np.empty((s, z0.size))
-    for n in range(1, model.grid.steps + 1):
-        for j in range(s):
-            y = z + dt * (a[j, :j] @ ks[:j]) if j else z
-            ks[j] = wt @ lib.evaluate(y)
-        z = z + dt * (b @ ks)
-        znorm = np.max(np.abs(z))
-        if not (znorm <= guard):
-            raise LatentBlowupError(n, float(znorm))
-        out[n] = z
-    return out
+    return StepOperator(model, w).trajectory(latent_initial(model, mu))
 
 
 def predict_full(model: LatentModel, mu) -> SnapshotMatrix:

@@ -7,7 +7,9 @@ and per parameter component; the adjoint recursion runs one backward pass
 of multipliers independent of the parameter count. For explicit
 Runge-Kutta residuals drtilde_n/dz_n is the identity, so each solve is an
 identity application; the counters tally them anyway so the cost scaling
-contract stays visible.
+contract stays visible. Both sweeps take the step partials from one
+``rom.StepOperator``; for a degree-1 library dz_n/dz_{n-1} = M is one
+constant matrix and both sweeps are constant-matrix recursions.
 
 Objectives are pluggable through three methods (duck typed):
 
@@ -25,9 +27,10 @@ import numpy as np
 
 from .rom import (
     LatentModel,
+    StepOperator,
     integrate_latent,
+    latent_initial,
     latent_initial_sensitivity,
-    reduced_residual_partials,
 )
 
 __all__ = [
@@ -89,8 +92,8 @@ def _objective_rows(model: LatentModel, objective, z: np.ndarray):
     return rows
 
 
-def reduced_direct_gradient(model: LatentModel, mu, objective) -> GradientResult:
-    """Forward propagation of the latent sensitivities dz_n/dmu."""
+def _forward(model: LatentModel, mu):
+    """Step operator with parameter tangents, and the trajectory it steps."""
     mu = np.asarray(mu, dtype=float)
     w = model.provider.coefficients(mu)
     dw = (
@@ -98,7 +101,13 @@ def reduced_direct_gradient(model: LatentModel, mu, objective) -> GradientResult
         if model.provider.parameter_dependent
         else None
     )
-    z = integrate_latent(model, mu, w)
+    op = StepOperator(model, w, dw)
+    return mu, op, op.trajectory(latent_initial(model, mu))
+
+
+def reduced_direct_gradient(model: LatentModel, mu, objective) -> GradientResult:
+    """Forward propagation of the latent sensitivities dz_n/dmu."""
+    mu, op, z = _forward(model, mu)
     n_steps = model.grid.steps
     rows = _objective_rows(model, objective, z)
 
@@ -108,10 +117,10 @@ def reduced_direct_gradient(model: LatentModel, mu, objective) -> GradientResult
     if 0 in rows:
         grad += rows[0] @ sens
     for n in range(1, n_steps + 1):
-        _, dr_dz_prev, dr_dmu = reduced_residual_partials(model, w, dw, z[n - 1])
-        sens = -dr_dz_prev @ sens
-        if dr_dmu is not None:
-            sens -= dr_dmu
+        jac, jac_mu = op.linearize(z[n - 1])
+        sens = jac @ sens
+        if jac_mu is not None:
+            sens += jac_mu
         n_solves += mu.size
         if n in rows:
             grad += rows[n] @ sens
@@ -126,14 +135,7 @@ def reduced_direct_gradient(model: LatentModel, mu, objective) -> GradientResult
 
 def reduced_adjoint_gradient(model: LatentModel, mu, objective) -> GradientResult:
     """Backward multiplier recursion; cost independent of the parameter count."""
-    mu = np.asarray(mu, dtype=float)
-    w = model.provider.coefficients(mu)
-    dw = (
-        model.provider.coefficient_gradients(mu)
-        if model.provider.parameter_dependent
-        else None
-    )
-    z = integrate_latent(model, mu, w)
+    mu, op, z = _forward(model, mu)
     n_steps = model.grid.steps
     rows = _objective_rows(model, objective, z)
 
@@ -141,11 +143,11 @@ def reduced_adjoint_gradient(model: LatentModel, mu, objective) -> GradientResul
     lam = rows.get(n_steps, np.zeros(model.state_dim)).copy()  # identity "solve"
     n_solves = 1
     for n in range(n_steps - 1, -1, -1):
-        _, dr_dz_prev, dr_dmu = reduced_residual_partials(model, w, dw, z[n])
-        # lambda_{n+1}^T drtilde_{n+1}/dmu accumulates into the gradient.
-        if dr_dmu is not None:
-            grad -= lam @ dr_dmu
-        lam = rows.get(n, 0.0) - lam @ dr_dz_prev
+        jac, jac_mu = op.linearize(z[n])
+        # -lambda_{n+1}^T drtilde_{n+1}/dmu accumulates into the gradient.
+        if jac_mu is not None:
+            grad += lam @ jac_mu
+        lam = rows.get(n, 0.0) + lam @ jac
         n_solves += 1
     # n = 0 residual: drtilde_0/dmu = -(initial sensitivity).
     grad += lam @ latent_initial_sensitivity(model, mu)

@@ -97,6 +97,18 @@ class TestBFGS:
         assert res.n_func == calls["f"]
         assert res.n_grad == calls["g"]
 
+    def test_plateau_stops_line_search(self):
+        # f is flat while its gradient is not, and fx + c*alpha*slope rounds
+        # to fx: no trial point strictly lowers f, so the search fails after
+        # max_backtracks evaluations instead of stepping for max_iter rounds
+        dom = ParameterDomain([-2.0] * 4, [2.0] * 4)
+        problem = OptProblem(dom, lambda x: 1e8, lambda x: np.full(4, 1e-3))
+        res = bfgs_minimize(problem, max_iter=200, max_backtracks=40)
+        assert not res.converged
+        assert res.n_func <= 1 + 40
+        assert res.n_grad == 1
+        assert_array_equal(res.mu_hat, dom.center())
+
 
 class TestNelderMead:
     def test_quadratic_bowl(self):

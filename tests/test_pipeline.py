@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +21,9 @@ from wlasdi.pipeline import (
     train_surrogate,
     training_parameters,
 )
-from wlasdi.rom import predict_full
+from wlasdi import pipeline
+from wlasdi.providers import ImplicitCoefficients
+from wlasdi.rom import StepOperator, predict_full
 
 
 def tiny_config(**overrides) -> ExperimentConfig:
@@ -151,9 +155,34 @@ class TestTrainSurrogate:
         )
         assert manifest["identification"] == "weak"
 
-    def test_provider_variants_train(self, tiny_setup):
-        import warnings
+    def test_train_stats_report_step_spectrum(self, tiny_setup, tmp_path):
+        cfg, snaps, _, _ = tiny_setup
+        trained = train_surrogate(cfg, snaps)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            save_model(trained, cfg, tmp_path / "model")
+        stats = json.loads((tmp_path / "model" / "train_stats.json").read_text())
+        model = trained.model
+        m = StepOperator(model, model.provider.coefficients(cfg.domain.center())).matrix
+        assert stats["step_spectral_radius"] == pytest.approx(
+            np.max(np.abs(np.linalg.eigvals(m))), rel=1e-12
+        )
+        assert np.isfinite(stats["max_real_eig"])
+        manifest = json.loads((tmp_path / "model" / "model.json").read_text())
+        assert "step_spectral_radius" not in manifest
 
+    def test_growing_step_map_warns(self, tiny_setup, tmp_path):
+        cfg, snaps, _, _ = tiny_setup
+        trained = train_surrogate(cfg, snaps)
+        w = trained.model.provider.coefficients(cfg.domain.center()).copy()
+        w[1:] += np.eye(w.shape[1])  # shift the linear part: eigenvalues +1
+        trained.model = dataclasses.replace(
+            trained.model, provider=ImplicitCoefficients(w)
+        )
+        with pytest.warns(UserWarning, match="spectral radius"):
+            save_model(trained, cfg, tmp_path / "model")
+
+    def test_provider_variants_train(self, tiny_setup):
         cfg, snaps, _, _ = tiny_setup
         for provider in ("global", "rbf", "convex", "gp"):
             with warnings.catch_warnings():
@@ -223,6 +252,21 @@ class TestBench:
         assert (tmp_path / "bench" / "target.bin").exists()
         for row in rows:
             assert np.isfinite(row["E2_percent"])
+
+    def test_overlays_reuse_cached_solves(self, tmp_path, monkeypatch):
+        # every full-order solve is of a new mu and lands in the cache: the
+        # overlays read the mu_hat solves that evaluate_recovery cached
+        calls = []
+        solve = pipeline.fom_solve
+        monkeypatch.setattr(
+            pipeline, "fom_solve", lambda mu, cfg: calls.append(1) or solve(mu, cfg)
+        )
+        cfg = tiny_config(noise_ratios=[0.0, 0.2, 0.4])
+        rows = run_bench(cfg, tmp_path / "bench")
+        cached = list((tmp_path / "bench" / "snapshots").glob("fom_*.bin"))
+        assert len(calls) == len(cached)
+        assert len(list((tmp_path / "bench").glob("overlay_noise*.csv"))) == 3
+        assert len(rows) == 15
 
 
 class TestOptimizeSurrogate:

@@ -7,6 +7,7 @@ from wlasdi.core import TimeGrid
 from wlasdi.rom import (
     ButcherTableau,
     LatentBlowupError,
+    StepOperator,
     integrate_latent,
     latent_initial,
     latent_initial_sensitivity,
@@ -109,6 +110,83 @@ class TestIntegrate:
             r = step_residual(model, w, z[n - 1], z[n])
             worst = max(worst, np.max(np.abs(r)))
         assert worst <= 1e-14 * max(1.0, np.max(np.abs(z)))
+
+
+def rk_trajectory(model, mu):
+    """The oracle: repeated rk_step with the blow-up guard of integrate_latent."""
+    w = model.provider.coefficients(mu)
+    z = [latent_initial(model, mu)]
+    guard = 1e6 * max(1.0, np.max(np.abs(z[0])))
+    for n in range(1, model.grid.steps + 1):
+        z.append(rk_step(model, w, z[-1])[0])
+        norm = np.max(np.abs(z[-1]))
+        if not norm <= guard:
+            return np.asarray(z[:-1]), (n, norm)
+    return np.asarray(z), None
+
+
+def rel_err(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+class TestStepOperator:
+    @pytest.mark.parametrize("tableau", ["euler", "heun", "rk4"])
+    @pytest.mark.parametrize("kind", ["global", "implicit", "rbf"])
+    def test_affine_trajectory_matches_rk_step(self, tableau, kind):
+        model = toy_model(provider_kind=kind, degree=1, n_steps=40, seed=11,
+                          tableau=ButcherTableau.named(tableau))
+        mu = np.array([0.4, 0.6])
+        assert StepOperator(model, model.provider.coefficients(mu)).affine
+        expected, blowup = rk_trajectory(model, mu)
+        assert blowup is None
+        assert rel_err(integrate_latent(model, mu), expected) <= 1e-12
+
+    @pytest.mark.parametrize("tableau", ["euler", "heun", "rk4"])
+    def test_affine_linearization_matches_residual_partials(self, tableau):
+        model = toy_model(provider_kind="rbf", degree=1, seed=6,
+                          tableau=ButcherTableau.named(tableau))
+        mu = np.array([0.35, 0.65])
+        w = model.provider.coefficients(mu)
+        dw = model.provider.coefficient_gradients(mu)
+        op = StepOperator(model, w, dw)
+        z = 0.3 * np.random.default_rng(5).normal(size=3)
+        jac, jac_mu = op.linearize(z)
+        _, dr_dz_prev, dr_dmu = reduced_residual_partials(model, w, dw, z)
+        assert_allclose(jac, -dr_dz_prev, rtol=0, atol=1e-14)
+        assert_allclose(jac_mu, -dr_dmu, rtol=0, atol=1e-14)
+        assert_allclose(op.advance(z), rk_step(model, w, z)[0], rtol=0, atol=1e-14)
+
+    def test_degree_two_takes_stage_recursion(self):
+        model = toy_model(provider_kind="rbf", degree=2, n_steps=20, seed=3)
+        mu = np.array([0.4, 0.6])
+        assert not StepOperator(model, model.provider.coefficients(mu)).affine
+        expected, _ = rk_trajectory(model, mu)
+        assert_array_equal(integrate_latent(model, mu), expected)
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_blowup_step_matches_general_loop(self, degree):
+        lib_size = 2 if degree == 1 else 3
+        w = np.zeros((lib_size, 1))
+        w[1, 0] = 40.0  # dz/dt = 40 z leaves the 1e6 guard band mid-horizon
+        model = identity_model(w, TimeGrid(1.0, 200), np.ones(1), degree=degree)
+        _, (step, norm) = rk_trajectory(model, np.zeros(1))
+        with pytest.raises(LatentBlowupError) as exc:
+            integrate_latent(model, np.zeros(1))
+        assert exc.value.step == step
+        assert exc.value.norm == pytest.approx(norm, rel=1e-12)
+
+    def test_spectrum_of_scalar_decay(self):
+        # RK4 on dz/dt = -z: M is the quartic stability polynomial at -dt
+        w = linear_w([[-1.0]])
+        model = identity_model(w, TimeGrid(0.1, 1), np.ones(1))
+        spec = StepOperator(model, w).spectrum()
+        assert spec["step_spectral_radius"] == pytest.approx(0.9048375, abs=1e-15)
+        assert spec["max_real_eig"] == pytest.approx(-1.0, abs=1e-15)
+
+    def test_spectrum_needs_degree_one(self):
+        model = toy_model(provider_kind="global", degree=2)
+        with pytest.raises(ValueError):
+            StepOperator(model, model.provider.coefficients(np.zeros(2))).spectrum()
 
 
 class TestLatentInitial:

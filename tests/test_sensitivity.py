@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from wlasdi.rom import predict_full
+from wlasdi.rom import StepOperator, predict_full
 from wlasdi.sensitivity import (
     GradientResult,
     TargetMismatch,
@@ -82,6 +82,34 @@ class TestCrossChecks:
         d = reduced_direct_gradient(model, mu, objective)
         a = reduced_adjoint_gradient(model, mu, objective)
         assert rel_diff(d.gradient, a.gradient) <= 1e-10
+
+
+@pytest.fixture(scope="module")
+def degree_one_models():
+    out = {}
+    for kind in PROVIDERS:
+        model = toy_model(provider_kind=kind, degree=1, n_steps=40, seed=11)
+        target = predict_full(model, np.array([0.52, 0.48])).data[-1]
+        out[kind] = (model, TargetMismatch(target))
+    return out
+
+
+class TestAffinePath:
+    """Degree-1 models take the constant-matrix recursions."""
+
+    @pytest.mark.parametrize("kind", PROVIDERS)
+    def test_direct_equals_adjoint_and_fd(self, degree_one_models, kind):
+        model, objective = degree_one_models[kind]
+        assert StepOperator(model, model.provider.coefficients(np.zeros(2))).affine
+        evaluate = surrogate_objective(model, objective)
+        rng = np.random.default_rng(0)
+        for _ in range(2):
+            mu = rng.uniform(0.25, 0.75, size=2)
+            d = reduced_direct_gradient(model, mu, objective)
+            a = reduced_adjoint_gradient(model, mu, objective)
+            assert rel_diff(d.gradient, a.gradient) <= 1e-10
+            fd = fd_gradient(evaluate, mu, h=1e-6)
+            assert rel_diff(a.gradient, fd.gradient) <= 1e-5
 
 
 class TestCostCounters:
