@@ -10,6 +10,21 @@ iteration with the analytic Jacobian
 
     dr_n/du_n = I + dt * (diag(D u_n) + diag(u_n) D),   dr_n/du_{n-1} = -I.
 
+On the periodic grid this Jacobian is cyclic bidiagonal: a bidiagonal band
+B (lower for backward differences, upper for forward) plus one corner entry
+c at (p, q) = (0, n-1) or (n-1, 0). Every linear solve with it, or with its
+transpose, is one banded triangular solve (LAPACK ``dtbtrs``) on the
+right-hand sides [rhs, c e_p] followed by the Sherman-Morrison correction
+
+    x = y - z * y_q / (1 + z_q),   y = B^{-1} rhs,   z = B^{-1} c e_p
+
+(Golub & Van Loan, Matrix Computations, sections 2.1.4 and 4.3), so a
+Newton iteration, a direct-sensitivity step and an adjoint step each cost
+O(n). Several trajectories advance through one Newton loop: their bands
+are stacked into one solve with zero coupling between the blocks, and a
+trajectory that has converged is left out of later updates, so each one is
+bit-identical to its own single solve.
+
 The initial condition is two Gaussian pulses parameterized by
 mu = [a1, w1, a2, w2] (amplitudes and widths, centers fixed at x = +/-5).
 Objective gradients for the final-state mismatch f = ||u_N - target||_2^2
@@ -22,8 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.linalg.lapack import dtbtrs
 
 from .core import ParameterDomain, SnapshotMatrix, TimeGrid, as_vector
 from .sensitivity import GradientResult
@@ -36,6 +50,7 @@ __all__ = [
     "initial_condition_gradient",
     "fom_step",
     "fom_solve",
+    "fom_solve_batch",
     "fom_step_jacobians",
     "fom_gradient_direct",
     "fom_gradient_adjoint",
@@ -51,12 +66,14 @@ _PULSE_CENTERS = (5.0, -5.0)
 
 
 class NewtonConvergenceError(RuntimeError):
-    def __init__(self, step: int, iterations: int, residual_norm: float):
+    def __init__(self, step: int, iterations: int, residual_norm: float, mu=None):
         self.step = step
         self.iterations = iterations
         self.residual_norm = residual_norm
+        self.mu = mu
+        where = "" if mu is None else f" for mu = {[float(v) for v in mu]}"
         super().__init__(
-            f"Newton failed at step {step}: ||r||_inf = {residual_norm:.3e} "
+            f"Newton failed at step {step}{where}: ||r||_inf = {residual_norm:.3e} "
             f"after {iterations} iterations"
         )
 
@@ -67,7 +84,9 @@ class BurgersConfig:
     x_max: float = 10.0
     dx: float = 0.02
     grid: TimeGrid = field(default_factory=lambda: TimeGrid(1.0, 1000))
-    upwind: str = "forward"  # one-sided difference direction: "forward" or "backward"
+    # One-sided difference direction. "backward" is upwind for the
+    # rightward-moving pulses; "forward" diverges at the benchmark grid.
+    upwind: str = "backward"
     newton_tol: float = 1e-10
     newton_max_iter: int = 50
 
@@ -124,65 +143,159 @@ def initial_condition_gradient(mu, i: int, cfg: BurgersConfig) -> np.ndarray:
 
 
 def _difference(u: np.ndarray, cfg: BurgersConfig) -> np.ndarray:
+    """Periodic one-sided difference along the last axis."""
+    d = np.empty_like(u)
     if cfg.upwind == "forward":
-        return (np.roll(u, -1) - u) / cfg.dx
-    return (u - np.roll(u, 1)) / cfg.dx
+        np.subtract(u[..., 1:], u[..., :-1], out=d[..., :-1])
+        np.subtract(u[..., :1], u[..., -1:], out=d[..., -1:])
+    else:
+        np.subtract(u[..., 1:], u[..., :-1], out=d[..., 1:])
+        np.subtract(u[..., :1], u[..., -1:], out=d[..., :1])
+    d /= cfg.dx
+    return d
 
 
-def _step_jacobian(u: np.ndarray, cfg: BurgersConfig) -> sp.csc_matrix:
-    """dr/du at the state u: I + dt*(diag(Du) + diag(u) D), sparse."""
-    n = u.size
+def _jacobian_parts(u: np.ndarray, cfg: BurgersConfig):
+    """Diagonal and off-diagonal of dr/du = I + dt*(diag(Du) + diag(u) D).
+
+    Backward differences put ``off[i]`` at (i, i-1), forward ones at
+    (i, i+1); on the periodic grid one of them is the corner.
+    """
     dt = cfg.grid.dt
     du = _difference(u, cfg)
-    rows = np.concatenate([np.arange(n), np.arange(n)])
     if cfg.upwind == "forward":
-        diag = 1.0 + dt * du - dt * u / cfg.dx
         off = dt * u / cfg.dx
-        cols = np.concatenate([np.arange(n), np.arange(1, n + 1) % n])
+        return 1.0 + dt * du - off, off
+    return 1.0 + dt * du + dt * u / cfg.dx, -dt * u / cfg.dx
+
+
+def _cyclic_solve(u, cfg: BurgersConfig, rhs, trans: bool = False) -> np.ndarray:
+    """Solve J x = rhs (J^T x = rhs if ``trans``), J the step Jacobian at u.
+
+    ``u`` is one state (n,) or K states (K, n); ``rhs`` has K*n rows in any
+    shape, e.g. (K, n) or (n, m), and the solution comes back in that shape.
+    The K systems are one ``dtbtrs`` call on their stacked bands. A state
+    whose band has an exactly zero pivot gets a NaN block.
+    """
+    u = np.atleast_2d(u)
+    k, n = u.shape
+    diag, off = _jacobian_parts(u, cfg)
+    singular = ~diag.all(axis=1)
+    if singular.any():
+        diag[singular] = 1.0  # solve the other blocks; these become NaN below
+    # LAPACK band storage, kd = 1: the diagonal, and J[j+1, j] (lower) or
+    # J[j-1, j] (upper) at column j; 0 where column j crosses into the next
+    # block, so the stacked systems do not couple.
+    band = np.zeros((k, n))
+    ab = np.empty((2, k * n), order="F")
+    if cfg.upwind == "backward":
+        band[:, :-1] = off[:, 1:]
+        ab[0], ab[1] = diag.ravel(), band.ravel()
+        uplo, p, q = "L", 0, n - 1
     else:
-        diag = 1.0 + dt * du + dt * u / cfg.dx
-        off = -dt * u / cfg.dx
-        cols = np.concatenate([np.arange(n), np.arange(-1, n - 1) % n])
-    data = np.concatenate([diag, off])
-    return sp.csc_matrix((data, (rows, cols)), shape=(n, n))
+        band[:, 1:] = off[:, :-1]
+        ab[0], ab[1] = band.ravel(), diag.ravel()
+        uplo, p, q = "U", n - 1, 0
+    corner = off[:, p]  # J = B + c e_p e_q^T, and J^T = B^T + c e_q e_p^T
+    if trans:
+        p, q = q, p
+    m = rhs.size // (k * n)
+    b = np.zeros((k * n, m + 1), order="F")
+    b[:, :m] = rhs.reshape(k * n, m)
+    b[p::n, m] = corner
+    x, info = dtbtrs(ab, b, uplo=uplo, trans="T" if trans else "N", overwrite_b=1)
+    if info != 0:
+        raise ValueError(f"dtbtrs rejected argument {-info}")
+    x = x.reshape(k, n, m + 1)
+    y, z = x[..., :m], x[..., m:]
+    sol = y - z * (y[:, q : q + 1] / (1.0 + z[:, q : q + 1]))
+    sol[singular] = np.nan
+    return sol.reshape(rhs.shape)
 
 
 def residual(u_next: np.ndarray, u_prev: np.ndarray, cfg: BurgersConfig) -> np.ndarray:
     return u_next - u_prev + cfg.grid.dt * u_next * _difference(u_next, cfg)
 
 
+def _newton(u_prev: np.ndarray, cfg: BurgersConfig, step: int, mus=None) -> np.ndarray:
+    """One backward-Euler step of the K states ``u_prev`` (K, n) by Newton.
+
+    A state leaves the iteration once its residual meets the tolerance. The
+    first state whose residual or update is not finite, or that has not
+    converged after ``newton_max_iter`` updates, raises
+    NewtonConvergenceError with its own iteration count and residual.
+    """
+    u = np.array(u_prev, dtype=float)
+    active = np.arange(len(u))
+
+    def fail(it, rnorm, bad):
+        i = int(np.argmax(bad))
+        mu = None if mus is None else mus[active[i]]
+        return NewtonConvergenceError(step, it, float(rnorm[i]), mu)
+
+    for it in range(cfg.newton_max_iter + 1):
+        ua = u[active]
+        r = residual(ua, u_prev[active], cfg)
+        rnorm = np.max(np.abs(r), axis=1)
+        pending = rnorm > cfg.newton_tol
+        bad = ~np.isfinite(rnorm) | (pending & (it == cfg.newton_max_iter))
+        if bad.any():
+            raise fail(it, rnorm, bad)
+        if not pending.all():
+            active, ua, r, rnorm = active[pending], ua[pending], r[pending], rnorm[pending]
+            if active.size == 0:
+                return u
+        delta = _cyclic_solve(ua, cfg, r)
+        bad = ~np.isfinite(delta).all(axis=1)
+        if bad.any():
+            raise fail(it, rnorm, bad)
+        u[active] = ua - delta
+    raise AssertionError("unreachable: the last iteration returns or raises")
+
+
 def fom_step(u_prev: np.ndarray, cfg: BurgersConfig, step: int = 0) -> np.ndarray:
     """Advance one backward-Euler step by Newton iteration on the residual."""
-    u = np.asarray(u_prev, dtype=float).copy()
-    for it in range(cfg.newton_max_iter + 1):
-        r = residual(u, u_prev, cfg)
-        rnorm = float(np.max(np.abs(r)))
-        if not np.isfinite(rnorm):
-            raise NewtonConvergenceError(step, it, rnorm)
-        if rnorm <= cfg.newton_tol:
-            return u
-        if it == cfg.newton_max_iter:
-            raise NewtonConvergenceError(step, it, rnorm)
-        u -= splu(_step_jacobian(u, cfg)).solve(r)
-    raise NewtonConvergenceError(step, cfg.newton_max_iter, rnorm)
+    return _newton(np.asarray(u_prev, dtype=float)[None], cfg, step)[0]
+
+
+def fom_solve_batch(mus, cfg: BurgersConfig) -> list[SnapshotMatrix]:
+    """Trajectories for several parameters, advanced through one Newton loop.
+
+    Each is bit-identical to the single solve ``fom_solve(mu, cfg)``.
+    """
+    mus = [as_vector(mu, "mu") for mu in mus]
+    if not mus:
+        return []
+    states = np.empty((len(mus), cfg.grid.steps + 1, cfg.n_points))
+    for k, mu in enumerate(mus):
+        states[k, 0] = initial_condition(mu, cfg)
+    for n in range(1, cfg.grid.steps + 1):
+        states[:, n] = _newton(states[:, n - 1], cfg, n, mus)
+    return [SnapshotMatrix(s, cfg.grid, mu) for s, mu in zip(states, mus)]
 
 
 def fom_solve(mu, cfg: BurgersConfig) -> SnapshotMatrix:
     """Full trajectory from the parameterized initial condition."""
-    mu = as_vector(mu, "mu")
-    n_steps = cfg.grid.steps
-    states = np.empty((n_steps + 1, cfg.n_points))
-    states[0] = initial_condition(mu, cfg)
-    for n in range(1, n_steps + 1):
-        states[n] = fom_step(states[n - 1], cfg, step=n)
-    return SnapshotMatrix(states, cfg.grid, mu)
+    return fom_solve_batch([mu], cfg)[0]
 
 
 def fom_step_jacobians(u_prev, u_next, cfg: BurgersConfig):
-    """(dr_n/du_n, dr_n/du_{n-1}) for one accepted step, as sparse matrices."""
+    """(dr_n/du_n, dr_n/du_{n-1}) for one accepted step, as sparse matrices.
+
+    Assembled entry by entry, apart from the banded solver; the tests use
+    it as the reference for ``_cyclic_solve``.
+    """
+    import scipy.sparse as sp  # only this reference needs scipy.sparse
+
     u_next = np.asarray(u_next, dtype=float)
-    j_n = _step_jacobian(u_next, cfg)
-    j_prev = -sp.identity(u_next.size, format="csc")
+    n = u_next.size
+    diag, off = _jacobian_parts(u_next, cfg)
+    shift = 1 if cfg.upwind == "forward" else -1
+    rows = np.concatenate([np.arange(n), np.arange(n)])
+    cols = np.concatenate([np.arange(n), (np.arange(n) + shift) % n])
+    data = np.concatenate([diag, off])
+    j_n = sp.csc_matrix((data, (rows, cols)), shape=(n, n))
+    j_prev = -sp.identity(n, format="csc")
     return j_n, j_prev
 
 
@@ -203,8 +316,7 @@ def fom_gradient_direct(mu, cfg: BurgersConfig, target) -> GradientResult:
     )
     n_solves = mu.size
     for n in range(1, n_steps + 1):
-        lu = splu(_step_jacobian(traj.data[n], cfg))
-        sens = lu.solve(sens)
+        sens = _cyclic_solve(traj.data[n], cfg, sens)
         n_solves += mu.size
     dfdu = 2.0 * (traj.data[-1] - target)
     grad = dfdu @ sens
@@ -225,12 +337,12 @@ def fom_gradient_adjoint(mu, cfg: BurgersConfig, target) -> GradientResult:
     n_steps = cfg.grid.steps
 
     dfdu = 2.0 * (traj.data[-1] - target)
-    lam = splu(_step_jacobian(traj.data[-1], cfg)).solve(dfdu, trans="T")
+    lam = _cyclic_solve(traj.data[-1], cfg, dfdu, trans=True)
     n_solves = 1
     # Only the one-step back-coupling dr_{n+1}/du_n = -I is nonzero, so
     # lambda_n solves J_n^T lambda_n = lambda_{n+1}.
     for n in range(n_steps - 1, 0, -1):
-        lam = splu(_step_jacobian(traj.data[n], cfg)).solve(lam, trans="T")
+        lam = _cyclic_solve(traj.data[n], cfg, lam, trans=True)
         n_solves += 1
     lam0 = lam  # dr_0/du_0 = I
     n_solves += 1

@@ -70,7 +70,7 @@ def cmd_fom_run(cfg: ExperimentConfig, args) -> int:
 
 def cmd_train(cfg: ExperimentConfig, args) -> int:
     out = Path(args.out)
-    snapshots = generate_training_data(cfg, out / "snapshots", threads=args.threads)
+    snapshots = generate_training_data(cfg, out / "snapshots")
     trained = train_surrogate(
         cfg,
         snapshots,
@@ -126,7 +126,7 @@ def cmd_optimize(cfg: ExperimentConfig, args) -> int:
 
 
 def cmd_bench(cfg: ExperimentConfig, args) -> int:
-    rows = run_bench(cfg, args.out, threads=args.threads)
+    rows = run_bench(cfg, args.out)
     print(f"wrote {len(rows)} report rows to {Path(args.out) / 'report.csv'}")
     for row in rows:
         print(
@@ -216,7 +216,6 @@ def build_parser() -> _Parser:
     parser.add_argument("--config", help="JSON config file overriding defaults")
     parser.add_argument("--out", default="runs", help="output directory")
     parser.add_argument("--seed", type=int, default=None, help="seed override")
-    parser.add_argument("--threads", type=int, default=1)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("fom-run", help="solve the full-order model, write snapshot")

@@ -99,8 +99,9 @@ def bfgs_minimize(
     """BFGS with backtracking Armijo line search and clamp-plus-penalty bounds.
 
     A step is accepted only if it strictly lowers f and meets the Armijo
-    test; if no backtrack does, the search stops and returns the best
-    iterate with ``converged`` false.
+    test; if no backtrack does before the step shrinks to
+    sqrt(eps) * max(1, |x|), the search stops and returns the best iterate
+    with ``converged`` false.
     """
     if problem.gradient is None:
         raise ValueError("bfgs_minimize requires a gradient callable")
@@ -133,6 +134,9 @@ def bfgs_minimize(
             slope = float(gx @ p)
         alpha = 1.0
         f_new = None
+        # Steps shorter than this move x by less than f can resolve.
+        min_step = np.sqrt(np.finfo(float).eps) * max(1.0, np.linalg.norm(x))
+        p_norm = np.linalg.norm(p)
         for _ in range(max_backtracks):
             trial = x + alpha * p
             f_trial = f(trial)
@@ -142,6 +146,8 @@ def bfgs_minimize(
                 f_new = f_trial
                 break
             alpha *= backtrack
+            if alpha * p_norm <= min_step:
+                break
         if f_new is None:
             break  # line search failed; return best iterate
         x_new = x + alpha * p

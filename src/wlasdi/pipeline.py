@@ -14,9 +14,9 @@ import csv
 import hashlib
 import itertools
 import json
+import os
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -26,6 +26,7 @@ from . import io as wio
 from .burgers import (
     BurgersConfig,
     fom_solve,
+    fom_solve_batch,
     initial_condition,
     initial_condition_gradient,
 )
@@ -98,9 +99,7 @@ REPORT_HEADER = [
 
 @dataclass
 class ExperimentConfig:
-    burgers: BurgersConfig = field(
-        default_factory=lambda: BurgersConfig(upwind="backward")
-    )
+    burgers: BurgersConfig = field(default_factory=BurgersConfig)
     domain: ParameterDomain = field(
         default_factory=lambda: ParameterDomain(
             [0.7, 0.9, 0.7, 0.9], [0.9, 1.1, 0.9, 1.1]
@@ -233,35 +232,49 @@ def _fom_cache_key(cfg: ExperimentConfig, mu: np.ndarray) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
-def _solve_or_load(cfg: ExperimentConfig, mu, cache_dir: Path | None):
-    if cache_dir is not None:
-        path = cache_dir / f"fom_{_fom_cache_key(cfg, mu)}.bin"
-        if path.exists():
-            return wio.read_snapshot(path)
-    snap = fom_solve(mu, cfg.burgers)
-    if cache_dir is not None:
+def _write_atomically(snap: SnapshotMatrix, path: Path) -> None:
+    """Write a snapshot so that ``path`` exists only once it is complete.
+
+    The file and its sidecar are written under a temporary name in the same
+    directory and renamed into place, the sidecar first.
+    """
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        wio.write_snapshot(snap, tmp)
+        os.replace(wio.sidecar_path(tmp), wio.sidecar_path(path))
+        os.replace(tmp, path)
+    finally:
+        for leftover in (tmp, wio.sidecar_path(tmp)):
+            leftover.unlink(missing_ok=True)
+
+
+def _solve_or_load(cfg: ExperimentConfig, mus, cache_dir: Path | None):
+    """Trajectories for ``mus``: cache hits are read, the misses are solved
+    as one batch and cached."""
+    mus = [np.asarray(mu, float) for mu in mus]
+    if cache_dir is None:
+        return fom_solve_batch(mus, cfg.burgers)
+    paths = [cache_dir / f"fom_{_fom_cache_key(cfg, mu)}.bin" for mu in mus]
+    snaps = [wio.read_snapshot(p) if p.exists() else None for p in paths]
+    misses = [k for k, snap in enumerate(snaps) if snap is None]
+    if misses:
         cache_dir.mkdir(parents=True, exist_ok=True)
-        wio.write_snapshot(snap, path)
-    return snap
+    for k, snap in zip(misses, fom_solve_batch([mus[k] for k in misses], cfg.burgers)):
+        _write_atomically(snap, paths[k])
+        snaps[k] = snap
+    return snaps
 
 
-def generate_training_data(
-    cfg: ExperimentConfig, cache_dir=None, threads: int = 1
-) -> list[SnapshotMatrix]:
+def generate_training_data(cfg: ExperimentConfig, cache_dir=None) -> list[SnapshotMatrix]:
     """Noise-free training trajectories on the factorial grid, cached on disk."""
     cache = Path(cache_dir) if cache_dir else None
-    mus = training_parameters(cfg)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(_solve_or_load, cfg, mu, cache) for mu in mus]
-            return [f.result() for f in futures]  # fixed order reduction
-    return [_solve_or_load(cfg, mu, cache) for mu in mus]
+    return _solve_or_load(cfg, training_parameters(cfg), cache)
 
 
 def compute_target(cfg: ExperimentConfig, cache_dir=None) -> np.ndarray:
     """Noise-free FOM final state at the target parameters."""
     cache = Path(cache_dir) if cache_dir else None
-    return _solve_or_load(cfg, cfg.target_mu, cache).final_state()
+    return _solve_or_load(cfg, [cfg.target_mu], cache)[0].final_state()
 
 
 def _noisy_copies(
@@ -395,8 +408,8 @@ def evaluate_recovery(
 ) -> dict:
     """Score a recovered parameter against the noise-free full-order model."""
     u_final = _solve_or_load(
-        cfg, np.asarray(mu_hat, float), Path(cache_dir) if cache_dir else None
-    ).final_state()
+        cfg, [mu_hat], Path(cache_dir) if cache_dir else None
+    )[0].final_state()
     return {
         "E2_percent": 100.0 * relative_param_error(mu_hat, cfg.target_mu),
         "f_true": float(np.sum((u_final - target) ** 2)),
@@ -501,7 +514,7 @@ def _bench_cell_rows(cfg, snapshots, target, noise_ratio, noise_seed, cache_dir)
     return rows, errors
 
 
-def run_bench(cfg: ExperimentConfig, out_dir, threads: int = 1) -> list[dict]:
+def run_bench(cfg: ExperimentConfig, out_dir) -> list[dict]:
     """Noise x {wlasdi, lasdi, rbf-objective} x optimizer matrix.
 
     Writes report.csv (fixed header), run_meta.json (config + hash + errors)
@@ -511,8 +524,11 @@ def run_bench(cfg: ExperimentConfig, out_dir, threads: int = 1) -> list[dict]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     cache_dir = out / "snapshots"
-    snapshots = generate_training_data(cfg, cache_dir, threads=threads)
-    target = compute_target(cfg, cache_dir)
+    # the training trajectories and the target in one batch
+    *snapshots, target_snap = _solve_or_load(
+        cfg, [*training_parameters(cfg), cfg.target_mu], cache_dir
+    )
+    target = target_snap.final_state()
     wio.write_matrix(
         out / "target.bin",
         target[None, :],
@@ -539,8 +555,7 @@ def run_bench(cfg: ExperimentConfig, out_dir, threads: int = 1) -> list[dict]:
     for row in rows:
         if row["method"] == "wlasdi" and row["optimizer"] == "bfgs":
             # evaluate_recovery has already solved and cached this mu_hat
-            mu_hat = np.asarray(row["mu_hat"])
-            u_hat = _solve_or_load(cfg, mu_hat, cache_dir).final_state()
+            u_hat = _solve_or_load(cfg, [row["mu_hat"]], cache_dir)[0].final_state()
             overlay = np.column_stack([x, target, u_hat])
             label = f"{int(round(100 * row['noise']))}"
             np.savetxt(

@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
+from scipy.sparse.linalg import splu
 
 from wlasdi.core import TimeGrid
 from wlasdi.burgers import (
     BurgersConfig,
     NewtonConvergenceError,
+    _cyclic_solve,
     fom_gradient_adjoint,
     fom_gradient_direct,
     fom_solve,
+    fom_solve_batch,
     fom_step,
     fom_step_jacobians,
     initial_condition,
@@ -127,6 +131,80 @@ class TestStep:
         with pytest.raises(NewtonConvergenceError) as exc:
             fom_step(u0, cfg)
         assert exc.value.residual_norm > 0.0
+
+    def test_singular_band_raises_newton_error(self):
+        # dx = 0.5, dt = 0.25: a lone -1 makes its Jacobian diagonal
+        # 1 + dt*(-1 - 0)/dx + dt*(-1)/dx exactly 0 at the first iteration
+        cfg = BurgersConfig(x_min=0.0, x_max=4.0, dx=0.5, grid=TimeGrid(1.0, 4))
+        u0 = np.zeros(cfg.n_points)
+        u0[3] = -1.0
+        diag = fom_step_jacobians(u0, u0, cfg)[0].diagonal()
+        assert diag[3] == 0.0
+        with pytest.raises(NewtonConvergenceError) as exc:
+            fom_step(u0, cfg, step=7)
+        assert (exc.value.step, exc.value.iterations) == (7, 0)
+        assert exc.value.residual_norm == 0.5  # |dt * u * Du| at the -1
+
+
+class TestCyclicSolve:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(3, 24),
+        k=st.sampled_from([1, 3]),
+        m=st.sampled_from([1, 4]),
+        upwind=st.sampled_from(["forward", "backward"]),
+        trans=st.booleans(),
+        scale=st.floats(0.0, 2.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_sparse_lu(self, n, k, m, upwind, trans, scale, seed):
+        cfg = BurgersConfig(x_min=0.0, x_max=0.5 * n, dx=0.5,
+                            grid=TimeGrid(1.0, 20), upwind=upwind)
+        rng = np.random.default_rng(seed)
+        u = scale * rng.uniform(-1.0, 1.0, size=(k, n))
+        rhs = rng.normal(size=(k, n, m))
+        x = _cyclic_solve(u, cfg, rhs, trans=trans)
+        for j in range(k):
+            lu = splu(fom_step_jacobians(u[j], u[j], cfg)[0])
+            ref = lu.solve(rhs[j], trans="T" if trans else "N")
+            assert np.max(np.abs(x[j] - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_one_singular_state_leaves_the_others(self):
+        cfg = BurgersConfig(x_min=0.0, x_max=4.0, dx=0.5, grid=TimeGrid(1.0, 4))
+        good = np.linspace(-0.3, 0.4, cfg.n_points)
+        bad = np.zeros(cfg.n_points)
+        bad[3] = -1.0  # zero pivot, as in TestStep
+        rhs = np.ones((2, cfg.n_points))
+        x = _cyclic_solve(np.stack([bad, good]), cfg, rhs)
+        assert np.isnan(x[0]).all()
+        assert_array_equal(x[1], _cyclic_solve(good, cfg, rhs[1]))
+
+
+class TestBatch:
+    def test_rows_equal_single_solves(self):
+        # zero amplitude converges at once, the others after different
+        # iteration counts: masking must not change any row
+        cfg = coarse_config()
+        mus = [MU_TARGET, [0.0, 1.0, 0.0, 1.0], [0.9, 0.9, 0.7, 1.1]]
+        batch = fom_solve_batch(mus, cfg)
+        for mu, snap in zip(mus, batch):
+            assert_array_equal(snap.data, fom_solve(mu, cfg).data)
+            assert_array_equal(snap.mu, mu)
+
+    def test_empty_batch(self):
+        assert fom_solve_batch([], coarse_config()) == []
+
+    def test_failure_names_first_failing_trajectory(self):
+        cfg = coarse_config(newton_max_iter=1, newton_tol=1e-16)
+        mus = [[0.0, 1.0, 0.0, 1.0], MU_TARGET, [0.9, 0.9, 0.7, 1.1]]
+        with pytest.raises(NewtonConvergenceError) as exc:
+            fom_solve_batch(mus, cfg)
+        with pytest.raises(NewtonConvergenceError) as single:
+            fom_solve(MU_TARGET, cfg)
+        assert_array_equal(exc.value.mu, MU_TARGET)
+        assert "mu = [0.75, 1.05, 0.85, 0.95]" in str(exc.value)
+        assert (exc.value.step, exc.value.iterations) == (1, 1)
+        assert exc.value.residual_norm == single.value.residual_norm
 
 
 class TestStepJacobians:

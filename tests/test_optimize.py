@@ -109,6 +109,17 @@ class TestBFGS:
         assert res.n_grad == 1
         assert_array_equal(res.mu_hat, dom.center())
 
+    def test_failed_line_search_stops_at_step_floor(self):
+        # |p| = 1 and |x0| = 4: alpha = 1, 1/2, ..., 2^-23 are tried, and
+        # 2^-24 * |p| = sqrt(eps) * |x0| ends the search before 40 halvings
+        dom = ParameterDomain([-8.0] * 4, [8.0] * 4)
+        problem = OptProblem(dom, lambda x: 1e8, lambda x: np.full(4, 0.5),
+                             x0=np.full(4, 2.0))
+        res = bfgs_minimize(problem, max_iter=200, max_backtracks=40)
+        assert not res.converged
+        assert res.n_func == 1 + 24
+        assert res.n_grad == 1
+
 
 class TestNelderMead:
     def test_quadratic_bowl(self):

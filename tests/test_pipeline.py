@@ -21,7 +21,9 @@ from wlasdi.pipeline import (
     train_surrogate,
     training_parameters,
 )
+from wlasdi import io as wio
 from wlasdi import pipeline
+from wlasdi.burgers import fom_solve
 from wlasdi.providers import ImplicitCoefficients
 from wlasdi.rom import StepOperator, predict_full
 
@@ -101,11 +103,41 @@ class TestTrainingData:
         for a, b in zip(first, second):
             assert_array_equal(a.data, b.data)
 
-    def test_threaded_generation_matches_serial(self, tiny_setup):
-        cfg, snaps, _, _ = tiny_setup
-        threaded = generate_training_data(cfg, None, threads=4)
-        for a, b in zip(snaps, threaded):
-            assert_array_equal(a.data, b.data)
+    def test_batch_generation_matches_single_solves(self, tiny_setup):
+        cfg, _, _, _ = tiny_setup
+        batch = generate_training_data(cfg, None)
+        mus = training_parameters(cfg)
+        assert len(batch) == len(mus)
+        for mu, snap in zip(mus, batch):
+            assert_array_equal(snap.data, fom_solve(mu, cfg.burgers).data)
+
+    def test_interrupted_cache_write_leaves_no_file(self, tmp_path, monkeypatch):
+        cfg = tiny_config()
+        cache = tmp_path / "cache"
+        write = wio.write_matrix
+
+        def write_part_then_fail(path, array, meta=None):
+            with open(path, "wb") as fh:
+                fh.write(b"WLSD")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(wio, "write_matrix", write_part_then_fail)
+        with pytest.raises(OSError, match="disk full"):
+            compute_target(cfg, cache)
+        assert list(cache.iterdir()) == []
+
+        monkeypatch.setattr(wio, "write_matrix", write)
+        solved = []
+        solve = pipeline.fom_solve_batch
+        monkeypatch.setattr(
+            pipeline, "fom_solve_batch",
+            lambda mus, cfg: solved.extend(mus) or solve(mus, cfg),
+        )
+        target = compute_target(cfg, cache)
+        assert len(solved) == 1
+        assert len(list(cache.glob("fom_*.bin"))) == 1
+        assert_array_equal(compute_target(cfg, cache), target)
+        assert len(solved) == 1
 
 
 def bundle_digest(path):
@@ -254,17 +286,18 @@ class TestBench:
             assert np.isfinite(row["E2_percent"])
 
     def test_overlays_reuse_cached_solves(self, tmp_path, monkeypatch):
-        # every full-order solve is of a new mu and lands in the cache: the
+        # every trajectory solved is of a new mu and lands in the cache: the
         # overlays read the mu_hat solves that evaluate_recovery cached
-        calls = []
-        solve = pipeline.fom_solve
+        solved = []
+        solve = pipeline.fom_solve_batch
         monkeypatch.setattr(
-            pipeline, "fom_solve", lambda mu, cfg: calls.append(1) or solve(mu, cfg)
+            pipeline, "fom_solve_batch",
+            lambda mus, cfg: solved.extend(mus) or solve(mus, cfg),
         )
         cfg = tiny_config(noise_ratios=[0.0, 0.2, 0.4])
         rows = run_bench(cfg, tmp_path / "bench")
         cached = list((tmp_path / "bench" / "snapshots").glob("fom_*.bin"))
-        assert len(calls) == len(cached)
+        assert len(solved) == len(cached)
         assert len(list((tmp_path / "bench").glob("overlay_noise*.csv"))) == 3
         assert len(rows) == 15
 
