@@ -256,7 +256,8 @@ def main(argv=None) -> int:
         if args.seed is not None:
             cfg.seed = args.seed
         code = args.func(cfg, args)
-    except (OSError, json.JSONDecodeError, ValueError, KeyError) as exc:
+    except (OSError, json.JSONDecodeError, ValueError, KeyError,
+            wio.FormatError, wio.ConsistencyError) as exc:
         print(f"config/usage error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except (NewtonConvergenceError, LatentBlowupError, np.linalg.LinAlgError) as exc:

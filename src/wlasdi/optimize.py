@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .core import ParameterDomain
-from .providers import TrainingCoefficients, fit_rbf
+from .providers import KernelCoefficients
 
 __all__ = [
     "OptProblem",
@@ -305,21 +305,16 @@ def differential_evolution(
     )
 
 
-def rbf_objective_surrogate(training_mus, training_fs, epsilon: float | None = None):
+def rbf_objective_surrogate(training_mus, training_fs):
     """Gaussian RBF interpolant of scalar objective samples.
 
     Exact at the training parameters; returns a callable evaluator meant to
     be handed to a derivative-free optimizer.
     """
-    mus = np.atleast_2d(np.asarray(training_mus, dtype=float))
     fs = np.asarray(training_fs, dtype=float).reshape(-1)
-    if mus.shape[0] != fs.size:
-        raise ValueError("one objective value per training parameter required")
-    provider = fit_rbf(
-        TrainingCoefficients(mus, fs.reshape(-1, 1, 1)), epsilon=epsilon
-    )
+    interpolant = KernelCoefficients(training_mus, fs, "rbf")
 
     def evaluate(mu) -> float:
-        return float(provider.coefficients(np.asarray(mu, dtype=float))[0, 0])
+        return float(interpolant.coefficients(mu))
 
     return evaluate

@@ -17,7 +17,7 @@ import json
 import os
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -152,74 +152,51 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         raw = dict(raw)
-        kwargs = {}
+        unknown = set(raw) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ValueError(f"unknown config keys: {sorted(unknown)}")
         if "burgers" in raw:
-            b = dict(raw.pop("burgers"))
-            grid = TimeGrid(b.pop("t_final", 1.0), b.pop("steps", 1000))
-            kwargs["burgers"] = BurgersConfig(grid=grid, **b)
+            raw["burgers"] = _burgers_from_dict({"t_final": 1.0, "steps": 1000,
+                                                 **raw["burgers"]})
         if "domain" in raw:
-            d = raw.pop("domain")
-            kwargs["domain"] = ParameterDomain(d["lower"], d["upper"])
-        for key in (
-            "training_levels",
-            "target_mu",
-            "noise_ratios",
-            "noise_seeds",
-            "noise_scale",
-            "reducer_energy",
-            "reducer_latent_dim",
-            "reducer_center",
-            "library_degree",
-            "provider",
-            "identification",
-            "test_functions",
-            "tableau",
-            "optimizers",
-            "seed",
-        ):
-            if key in raw:
-                kwargs[key] = raw.pop(key)
-        if raw:
-            raise ValueError(f"unknown config keys: {sorted(raw)}")
-        return cls(**kwargs)
+            raw["domain"] = ParameterDomain(raw["domain"]["lower"], raw["domain"]["upper"])
+        return cls(**raw)
 
     def to_dict(self) -> dict:
-        b = self.burgers
-        return {
-            "burgers": {
-                "x_min": b.x_min,
-                "x_max": b.x_max,
-                "dx": b.dx,
-                "t_final": b.grid.t_final,
-                "steps": b.grid.steps,
-                "upwind": b.upwind,
-                "newton_tol": b.newton_tol,
-                "newton_max_iter": b.newton_max_iter,
-            },
-            "domain": {
-                "lower": list(self.domain.lower),
-                "upper": list(self.domain.upper),
-            },
-            "training_levels": [list(l) for l in self.training_levels],
-            "target_mu": list(self.target_mu),
-            "noise_ratios": list(self.noise_ratios),
-            "noise_seeds": list(self.noise_seeds),
-            "noise_scale": self.noise_scale,
-            "reducer_energy": self.reducer_energy,
-            "reducer_latent_dim": self.reducer_latent_dim,
-            "reducer_center": self.reducer_center,
-            "library_degree": self.library_degree,
-            "provider": self.provider,
-            "identification": self.identification,
-            "test_functions": dict(self.test_functions),
-            "tableau": self.tableau,
-            "optimizers": self.optimizers,
-            "seed": self.seed,
-        }
+        out = {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
+        out["burgers"] = _burgers_to_dict(self.burgers)
+        return out
 
     def config_hash(self) -> str:
         canon = json.dumps(self.to_dict(), sort_keys=True)
         return hashlib.sha256(canon.encode()).hexdigest()[:12]
+
+
+def _plain(value):
+    """``value`` for JSON: dataclasses as dicts of their fields, tuples and
+    arrays as lists."""
+    if isinstance(value, (tuple, list, np.ndarray)):
+        return [_plain(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+    return value
+
+
+def _burgers_to_dict(b: BurgersConfig) -> dict:
+    """The fields in order, the time grid flattened into t_final and steps;
+    the key order is part of the bytes of model.json."""
+    out = {}
+    for name, value in _plain(b).items():
+        out.update(value if name == "grid" else {name: value})
+    return out
+
+
+def _burgers_from_dict(raw: dict) -> BurgersConfig:
+    b = dict(raw)
+    grid = TimeGrid(b.pop("t_final"), b.pop("steps"))
+    return BurgersConfig(grid=grid, **b)
 
 
 def training_parameters(cfg: ExperimentConfig) -> np.ndarray:
@@ -228,7 +205,7 @@ def training_parameters(cfg: ExperimentConfig) -> np.ndarray:
 
 
 def _fom_cache_key(cfg: ExperimentConfig, mu: np.ndarray) -> str:
-    payload = json.dumps([cfg.to_dict()["burgers"], list(mu)], sort_keys=True)
+    payload = json.dumps([_burgers_to_dict(cfg.burgers), list(mu)], sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
@@ -350,20 +327,8 @@ def train_surrogate(
         tc = TrainingCoefficients(params, coeffs)
         prov = {"rbf": fit_rbf, "convex": fit_convex, "gp": fit_gp}[provider_kind](tc)
 
-    burgers_cfg = cfg.burgers
-    model = LatentModel(
-        reducer=reducer,
-        library=library,
-        provider=prov,
-        grid=grid,
-        initial_state=lambda mu: initial_condition(mu, burgers_cfg),
-        initial_state_gradient=lambda mu, i: initial_condition_gradient(
-            mu, i, burgers_cfg
-        ),
-        tableau=ButcherTableau.named(cfg.tableau),
-    )
     return TrainedSurrogate(
-        model=model,
+        model=_burgers_latent_model(reducer, library, prov, cfg.burgers, cfg.tableau),
         latent_dim=reducer.latent_dim,
         train_seconds=time.perf_counter() - t0,
         identification=identification,
@@ -371,6 +336,21 @@ def train_surrogate(
         noise_ratio=noise_ratio,
         noise_seed=noise_seed,
         config_hash=cfg.config_hash(),
+    )
+
+
+def _burgers_latent_model(
+    reducer, library: FeatureLibrary, provider, burgers: BurgersConfig, tableau: str
+) -> LatentModel:
+    """A latent model started from the Burgers initial condition g(mu)."""
+    return LatentModel(
+        reducer=reducer,
+        library=library,
+        provider=provider,
+        grid=burgers.grid,
+        initial_state=lambda mu: initial_condition(mu, burgers),
+        initial_state_gradient=lambda mu, i: initial_condition_gradient(mu, i, burgers),
+        tableau=ButcherTableau.named(tableau),
     )
 
 
@@ -586,7 +566,7 @@ def save_model(trained: TrainedSurrogate, cfg: ExperimentConfig, out_dir) -> Non
     save_provider(trained.model.provider, out / "provider")
     manifest = {
         "kind": "latent_model_bundle",
-        "burgers": cfg.to_dict()["burgers"],
+        "burgers": _burgers_to_dict(cfg.burgers),
         "library": {
             "latent_dim": trained.model.library.latent_dim,
             "degree": trained.model.library.degree,
@@ -631,24 +611,15 @@ def load_model(model_dir) -> tuple[LatentModel, dict]:
         manifest = json.load(fh)
     if manifest.get("kind") != "latent_model_bundle":
         raise wio.ConsistencyError(f"{model_dir}: not a model bundle")
-    b = dict(manifest["burgers"])
-    grid = TimeGrid(b.pop("t_final"), b.pop("steps"))
-    burgers_cfg = BurgersConfig(grid=grid, **b)
-    reducer = load_reducer(model_dir / "reducer.bin")
-    provider = load_provider(model_dir / "provider")
     lib = manifest["library"]
     library = FeatureLibrary(
         latent_dim=lib["latent_dim"], degree=lib["degree"], n_mu=lib["n_mu"]
     )
-    model = LatentModel(
-        reducer=reducer,
-        library=library,
-        provider=provider,
-        grid=grid,
-        initial_state=lambda mu: initial_condition(mu, burgers_cfg),
-        initial_state_gradient=lambda mu, i: initial_condition_gradient(
-            mu, i, burgers_cfg
-        ),
-        tableau=ButcherTableau.named(manifest["tableau"]),
+    model = _burgers_latent_model(
+        load_reducer(model_dir / "reducer.bin"),
+        library,
+        load_provider(model_dir / "provider"),
+        _burgers_from_dict(manifest["burgers"]),
+        manifest["tableau"],
     )
     return model, manifest

@@ -7,15 +7,19 @@ Five strategies are available.
 * implicit: the latent state is augmented with mu itself, one global W is
   fit for the augmented dynamics; again dW/dmu = 0 exactly, parameter
   dependence enters through the augmented initial condition.
-* rbf: Gaussian radial-basis interpolation of vectorized per-trajectory
-  coefficient matrices, exact at the training parameters, with the
-  closed-form kernel gradient.
+* rbf and gp: two presets of one Gaussian-kernel interpolant of the
+  vectorized per-trajectory coefficient matrices, with the closed-form
+  kernel gradient. rbf has no nugget and is exact at the training
+  parameters. gp adds a relative nugget of 1e-8: it is the predictive mean
+  of independent Gaussian processes per coefficient entry with a
+  squared-exponential kernel, whose amplitude cancels.
 * convex: inverse-squared Mahalanobis-distance weights (convex, summing
   to one), with quotient-rule gradients. At a training parameter the
   limit value W^(k) is returned; the gradient there falls back to a
   one-sided finite difference since the closed form is singular.
-* gp: independent Gaussian-process predictive means per coefficient
-  entry with a squared-exponential kernel and analytic gradient.
+
+Every provider exposes ``state()``, from which ``save_provider`` writes a
+bundle and ``from_state`` rebuilds the provider when it is loaded.
 """
 from __future__ import annotations
 
@@ -34,9 +38,8 @@ __all__ = [
     "CoefficientProvider",
     "GlobalCoefficients",
     "ImplicitCoefficients",
-    "RBFCoefficients",
+    "KernelCoefficients",
     "ConvexCoefficients",
-    "GPCoefficients",
     "fit_global",
     "fit_implicit",
     "fit_rbf",
@@ -89,6 +92,19 @@ class CoefficientProvider(abc.ABC):
     def coefficient_gradients(self, mu) -> np.ndarray:
         """dW/dmu stacked over components, shape (len(mu), J, d)."""
 
+    @abc.abstractmethod
+    def state(self) -> tuple[np.ndarray, np.ndarray | None, dict]:
+        """(payload, training parameters or None, hyperparameters).
+
+        The payload is W (J, d) for a parameter-independent provider and
+        the training coefficients (K, J, d) otherwise.
+        """
+
+    @classmethod
+    @abc.abstractmethod
+    def from_state(cls, strategy, payload, params, hyperparameters):
+        """Inverse of ``state``; raises KeyError for a missing hyperparameter."""
+
 
 class _ConstantCoefficients(CoefficientProvider):
     parameter_dependent = False
@@ -108,6 +124,13 @@ class _ConstantCoefficients(CoefficientProvider):
     def coefficient_gradients(self, mu) -> np.ndarray:
         mu = np.asarray(mu, dtype=float)
         return np.zeros((mu.size,) + self._w.shape)
+
+    def state(self):
+        return self._w, None, {}
+
+    @classmethod
+    def from_state(cls, strategy, payload, params, hyperparameters):
+        return cls(payload)
 
 
 class GlobalCoefficients(_ConstantCoefficients):
@@ -166,29 +189,57 @@ def _pairwise_distances(points: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(diff**2, axis=-1))
 
 
-class RBFCoefficients(CoefficientProvider):
-    strategy = "rbf"
-    augmented = False
+class KernelCoefficients(CoefficientProvider):
+    """Gaussian-kernel interpolant of values sampled at training parameters.
 
-    def __init__(self, tc: TrainingCoefficients, epsilon: float | None = None):
-        self._params = tc.params
-        self._train_coeffs = tc.coeffs
-        self._shape = tc.coeffs.shape[1:]
-        dists = _pairwise_distances(tc.params)
-        off_diag = dists[~np.eye(tc.count, dtype=bool)]
-        if tc.count > 1 and np.min(off_diag) == 0.0:
+    V(mu) = sum_k exp(-eps^2 |mu - mu_k|^2) alpha_k, where the weights solve
+    (exp(-(eps |mu_k - mu_l|)^2) + nugget I) alpha = V. ``values`` has shape
+    (K, ...) and V(mu) the trailing shape. ``strategy`` names the preset,
+    which fixes the nugget and, when ``epsilon`` is None, the shape parameter:
+
+    * rbf: no nugget; eps = 1 / median pairwise distance.
+    * gp: nugget 1e-8; eps = 1 / (sqrt(2) * mean nearest-neighbour distance).
+      This is the predictive mean of a Gaussian process with kernel
+      a * exp(-r^2 / (2 l^2)), l = 1 / (sqrt(2) eps), and jitter 1e-8 * a:
+      the amplitude a cancels.
+    """
+
+    #: strategy -> (nugget, c, length): the default eps is 1 / (c * length),
+    #: where length maps the (K, K-1) distances of each training parameter
+    #: to the others to a length (1 for a single training parameter)
+    PRESETS = {
+        "rbf": (0.0, 1.0, np.median),
+        "gp": (1e-8, np.sqrt(2.0), lambda others: np.mean(np.min(others, axis=1))),
+    }
+
+    def __init__(self, params, values, strategy: str, epsilon: float | None = None):
+        params = np.atleast_2d(np.asarray(params, dtype=float))
+        values = np.asarray(values, dtype=float)
+        count = params.shape[0]
+        if values.shape[:1] != (count,):
+            raise ValueError("one value per training parameter required")
+        self.strategy = strategy
+        self.nugget, factor, length = self.PRESETS[strategy]
+        self._params = params
+        self._values = values
+        dists = _pairwise_distances(params)
+        others = dists[~np.eye(count, dtype=bool)].reshape(count, count - 1)
+        if self.nugget == 0.0 and np.any(others == 0.0):
             raise ValueError("duplicate training parameters")
         if epsilon is None:
-            scale = np.median(off_diag) if tc.count > 1 else 1.0
-            epsilon = 1.0 / scale
+            epsilon = 1.0 / (factor * (length(others) if count > 1 else 1.0))
         self.epsilon = float(epsilon)
+        if not 0.0 < self.epsilon < np.inf:
+            raise ValueError(
+                f"kernel shape parameter must be positive and finite, got {self.epsilon}"
+            )
         kernel = np.exp(-((self.epsilon * dists) ** 2))
-        flat = tc.coeffs.reshape(tc.count, -1)
-        self._alphas = np.linalg.solve(kernel, flat)
+        kernel[np.diag_indices(count)] += self.nugget
+        self._alphas = np.linalg.solve(kernel, values.reshape(count, -1))
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self._shape
+        return self._values.shape[1:]
 
     def _kernel_row(self, mu) -> tuple[np.ndarray, np.ndarray]:
         mu = np.asarray(mu, dtype=float)
@@ -198,7 +249,7 @@ class RBFCoefficients(CoefficientProvider):
 
     def coefficients(self, mu) -> np.ndarray:
         k, _ = self._kernel_row(mu)
-        return (k @ self._alphas).reshape(self._shape)
+        return (k @ self._alphas).reshape(self.shape)
 
     def coefficient_gradients(self, mu) -> np.ndarray:
         # phi'(r)/r = -2 eps^2 phi(r) for the Gaussian kernel; the r -> 0
@@ -206,7 +257,14 @@ class RBFCoefficients(CoefficientProvider):
         k, diff = self._kernel_row(mu)
         weights = (-2.0 * self.epsilon**2) * k[:, None] * diff  # (K, n_mu)
         grads = weights.T @ self._alphas  # (n_mu, J*d)
-        return grads.reshape((diff.shape[1],) + self._shape)
+        return grads.reshape((diff.shape[1],) + self.shape)
+
+    def state(self):
+        return self._values, self._params, {"epsilon": self.epsilon}
+
+    @classmethod
+    def from_state(cls, strategy, payload, params, hyperparameters):
+        return cls(params, payload, strategy, hyperparameters["epsilon"])
 
 
 class ConvexCoefficients(CoefficientProvider):
@@ -280,134 +338,70 @@ class ConvexCoefficients(CoefficientProvider):
         dbeta = dinv / total - np.outer(inv, dtotal) / total**2  # (K, n_mu)
         return np.einsum("kp,kjd->pjd", dbeta, self._coeffs)
 
+    def state(self):
+        return self._coeffs, self._params, {}
 
-class GPCoefficients(CoefficientProvider):
-    strategy = "gp"
-    augmented = False
-
-    def __init__(
-        self,
-        tc: TrainingCoefficients,
-        lengthscale: float | None = None,
-        amplitude: float | None = None,
-        jitter: float | None = None,
-    ):
-        self._params = tc.params
-        self._train_coeffs = tc.coeffs
-        self._shape = tc.coeffs.shape[1:]
-        dists = _pairwise_distances(tc.params)
-        if lengthscale is None:
-            if tc.count > 1:
-                big = np.where(np.eye(tc.count, dtype=bool), np.inf, dists)
-                lengthscale = float(np.mean(np.min(big, axis=1)))
-            else:
-                lengthscale = 1.0
-        if lengthscale <= 0.0:
-            raise ValueError("lengthscale must be positive")
-        flat = tc.coeffs.reshape(tc.count, -1)
-        if amplitude is None:
-            amplitude = float(np.mean(np.var(flat, axis=0, ddof=1))) if tc.count > 1 else 1.0
-            if amplitude <= 0.0:
-                amplitude = 1.0
-        if jitter is None:
-            jitter = 1e-8 * amplitude
-        self.lengthscale = float(lengthscale)
-        self.amplitude = float(amplitude)
-        self.jitter = float(jitter)
-        kernel = self.amplitude * np.exp(-(dists**2) / (2.0 * self.lengthscale**2))
-        kernel += self.jitter * np.eye(tc.count)
-        self._alphas = np.linalg.solve(kernel, flat)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self._shape
-
-    def _kernel_row(self, mu) -> tuple[np.ndarray, np.ndarray]:
-        mu = np.asarray(mu, dtype=float)
-        diff = self._params - mu[None, :]  # (K, n_mu), note the sign
-        r2 = np.sum(diff**2, axis=1)
-        k = self.amplitude * np.exp(-r2 / (2.0 * self.lengthscale**2))
-        return k, diff
-
-    def coefficients(self, mu) -> np.ndarray:
-        k, _ = self._kernel_row(mu)
-        return (k @ self._alphas).reshape(self._shape)
-
-    def coefficient_gradients(self, mu) -> np.ndarray:
-        k, diff = self._kernel_row(mu)
-        weights = k[:, None] * diff / self.lengthscale**2  # (K, n_mu)
-        grads = weights.T @ self._alphas
-        return grads.reshape((diff.shape[1],) + self._shape)
+    @classmethod
+    def from_state(cls, strategy, payload, params, hyperparameters):
+        return cls(TrainingCoefficients(params, payload))
 
 
-def fit_rbf(tc: TrainingCoefficients, epsilon: float | None = None) -> RBFCoefficients:
-    return RBFCoefficients(tc, epsilon)
+def fit_rbf(tc: TrainingCoefficients, epsilon: float | None = None) -> KernelCoefficients:
+    return KernelCoefficients(tc.params, tc.coeffs, "rbf", epsilon)
 
 
 def fit_convex(tc: TrainingCoefficients) -> ConvexCoefficients:
     return ConvexCoefficients(tc)
 
 
-def fit_gp(
-    tc: TrainingCoefficients,
-    lengthscale: float | None = None,
-    amplitude: float | None = None,
-    jitter: float | None = None,
-) -> GPCoefficients:
-    return GPCoefficients(tc, lengthscale, amplitude, jitter)
+def fit_gp(tc: TrainingCoefficients, lengthscale: float | None = None) -> KernelCoefficients:
+    if lengthscale is None:
+        return KernelCoefficients(tc.params, tc.coeffs, "gp")
+    if lengthscale <= 0.0:
+        raise ValueError("lengthscale must be positive")
+    return KernelCoefficients(tc.params, tc.coeffs, "gp", 1.0 / (np.sqrt(2.0) * lengthscale))
+
+
+#: strategy -> provider class, for load_provider
+_PROVIDERS = {
+    "global": GlobalCoefficients,
+    "implicit": ImplicitCoefficients,
+    "rbf": KernelCoefficients,
+    "convex": ConvexCoefficients,
+    "gp": KernelCoefficients,
+}
 
 
 def save_provider(provider: CoefficientProvider, prefix) -> None:
     """Persist a provider as <prefix>.coeffs.bin (+ .params.bin) and metadata."""
     prefix = Path(prefix)
+    payload, params, hyperparameters = provider.state()
     meta = {"kind": "coefficient_provider", "strategy": provider.strategy,
             "shape": list(provider.shape)}
-    if isinstance(provider, _ConstantCoefficients):
-        wio.write_matrix(f"{prefix}.coeffs.bin", provider._w, meta)
+    if params is None:
+        wio.write_matrix(f"{prefix}.coeffs.bin", payload, meta)
         return
-    meta["hyperparameters"] = {}
-    if isinstance(provider, RBFCoefficients):
-        meta["hyperparameters"]["epsilon"] = provider.epsilon
-        train = provider._train_coeffs
-    elif isinstance(provider, GPCoefficients):
-        meta["hyperparameters"].update(
-            lengthscale=provider.lengthscale,
-            amplitude=provider.amplitude,
-            jitter=provider.jitter,
-        )
-        train = provider._train_coeffs
-    elif isinstance(provider, ConvexCoefficients):
-        train = provider._coeffs
-    else:
-        raise ValueError(f"cannot serialize provider {provider.strategy!r}")
-    wio.write_matrix(f"{prefix}.coeffs.bin", train.reshape(train.shape[0], -1), meta)
-    wio.write_matrix(f"{prefix}.params.bin", provider._params,
-                     {"kind": "provider_params"})
+    meta["hyperparameters"] = hyperparameters
+    wio.write_matrix(f"{prefix}.coeffs.bin", payload.reshape(len(params), -1), meta)
+    wio.write_matrix(f"{prefix}.params.bin", params, {"kind": "provider_params"})
 
 
 def load_provider(prefix) -> CoefficientProvider:
     prefix = Path(prefix)
-    coeffs, meta = wio.read_matrix(f"{prefix}.coeffs.bin", with_meta=True)
+    payload, meta = wio.read_matrix(f"{prefix}.coeffs.bin", with_meta=True)
     if meta.get("kind") != "coefficient_provider":
         raise wio.ConsistencyError(f"{prefix}: not a provider bundle")
-    strategy = meta["strategy"]
-    if strategy == "global":
-        return GlobalCoefficients(coeffs)
-    if strategy == "implicit":
-        return ImplicitCoefficients(coeffs)
-    params = wio.read_matrix(f"{prefix}.params.bin")
-    shape = tuple(meta["shape"])
-    tc = TrainingCoefficients(params, coeffs.reshape((params.shape[0],) + shape))
-    hp = meta.get("hyperparameters", {})
-    if strategy == "rbf":
-        return RBFCoefficients(tc, epsilon=hp.get("epsilon"))
-    if strategy == "convex":
-        return ConvexCoefficients(tc)
-    if strategy == "gp":
-        return GPCoefficients(
-            tc,
-            lengthscale=hp.get("lengthscale"),
-            amplitude=hp.get("amplitude"),
-            jitter=hp.get("jitter"),
-        )
-    raise wio.ConsistencyError(f"{prefix}: unknown strategy {strategy!r}")
+    strategy = meta.get("strategy")
+    if strategy not in _PROVIDERS:
+        raise wio.ConsistencyError(f"{prefix}: unknown strategy {strategy!r}")
+    cls = _PROVIDERS[strategy]
+    params = None
+    if cls.parameter_dependent:
+        params = wio.read_matrix(f"{prefix}.params.bin")
+        payload = payload.reshape((params.shape[0],) + tuple(meta["shape"]))
+    try:
+        return cls.from_state(strategy, payload, params, meta.get("hyperparameters", {}))
+    except KeyError as exc:
+        raise wio.ConsistencyError(
+            f"{prefix}: {strategy} provider bundle lacks hyperparameter {exc.args[0]!r}"
+        ) from None

@@ -34,7 +34,6 @@ __all__ = [
     "build_test_functions",
     "wendy_fit",
     "sindy_fit",
-    "load_dynamics",
 ]
 
 
@@ -108,32 +107,6 @@ class IdentifiedDynamics:
         if not np.all(np.isfinite(w)):
             raise ValueError("coefficients must be finite")
         object.__setattr__(self, "coefficients", w)
-
-    def save(self, path) -> None:
-        from . import io as wio
-
-        wio.write_matrix(
-            path,
-            self.coefficients,
-            {
-                "kind": "identified_dynamics",
-                "latent_dim": self.library.latent_dim,
-                "degree": self.library.degree,
-                "n_mu": self.library.n_mu,
-            },
-        )
-
-
-def load_dynamics(path) -> IdentifiedDynamics:
-    from . import io as wio
-
-    w, meta = wio.read_matrix(path, with_meta=True)
-    if meta.get("kind") != "identified_dynamics":
-        raise wio.ConsistencyError(f"{path}: not an identified-dynamics file")
-    library = FeatureLibrary(
-        latent_dim=meta["latent_dim"], degree=meta["degree"], n_mu=meta["n_mu"]
-    )
-    return IdentifiedDynamics(w, library)
 
 
 def _as_trajectories(z, library: FeatureLibrary, n_rows: int | None = None):

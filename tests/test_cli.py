@@ -147,3 +147,20 @@ class TestExitCodes:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(cfg))
         assert run(["--config", str(path), "--out", str(tmp_path), "fom-run"]) == 2
+
+    def test_non_bundle_model_dir_is_one(self, tiny_config_path, tmp_path, capsys):
+        model = tmp_path / "m"
+        model.mkdir()
+        (model / "model.json").write_text(json.dumps({"kind": "x"}))
+        assert run(["--config", tiny_config_path, "--out", str(tmp_path / "o"),
+                    "predict", "--model", str(model)]) == 1
+        assert "not a model bundle" in capsys.readouterr().err
+
+    def test_truncated_reducer_is_one(self, tiny_config_path, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run(["--config", tiny_config_path, "--out", str(out), "train"]) == 0
+        reducer = out / "model" / "reducer.bin"
+        reducer.write_bytes(reducer.read_bytes()[:100])
+        assert run(["--config", tiny_config_path, "--out", str(out),
+                    "predict", "--model", str(out / "model")]) == 1
+        assert "reducer.bin" in capsys.readouterr().err

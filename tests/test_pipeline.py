@@ -23,7 +23,8 @@ from wlasdi.pipeline import (
 )
 from wlasdi import io as wio
 from wlasdi import pipeline
-from wlasdi.burgers import fom_solve
+from wlasdi.burgers import BurgersConfig, fom_solve
+from wlasdi.core import TimeGrid
 from wlasdi.providers import ImplicitCoefficients
 from wlasdi.rom import StepOperator, predict_full
 
@@ -66,6 +67,20 @@ class TestConfig:
         again = ExperimentConfig.from_dict(cfg.to_dict())
         assert again.to_dict() == cfg.to_dict()
         assert again.config_hash() == cfg.config_hash()
+
+    def test_hashes_and_cache_keys_pinned(self):
+        # cache files and bundles written by earlier versions stay valid;
+        # the second config is the benchmark's (perfbench bench_config)
+        default = ExperimentConfig()
+        bench = ExperimentConfig(
+            burgers=BurgersConfig(dx=0.05, grid=TimeGrid(1.0, 150), upwind="backward")
+        )
+        assert default.config_hash() == "c6be64c94bfb"
+        assert bench.config_hash() == "504422f8ffd2"
+        assert pipeline._fom_cache_key(default, default.target_mu) == "78f16b562f5e"
+        assert pipeline._fom_cache_key(bench, bench.target_mu) == "4f9f2e2f15a0"
+        for cfg in (default, bench):
+            assert ExperimentConfig.from_dict(cfg.to_dict()).config_hash() == cfg.config_hash()
 
     def test_hash_changes_with_config(self):
         a = tiny_config()
@@ -186,6 +201,29 @@ class TestTrainSurrogate:
             atol=1e-12,
         )
         assert manifest["identification"] == "weak"
+
+    @pytest.mark.parametrize("provider", ["global", "rbf", "convex", "gp"])
+    def test_save_load_round_trip_per_provider(self, tiny_setup, tmp_path, provider):
+        cfg, snaps, _, _ = tiny_setup
+        with warnings.catch_warnings():
+            # per-trajectory fits on the tiny grid are rank-deficient, and
+            # their step maps may grow
+            warnings.simplefilter("ignore", UserWarning)
+            trained = train_surrogate(cfg, snaps, provider=provider)
+            save_model(trained, cfg, tmp_path / "model")
+        model, manifest = load_model(tmp_path / "model")
+        assert manifest["provider"] == model.provider.strategy == provider
+        mu = np.array([0.8, 1.0, 0.8, 1.0])
+        assert_array_equal(model.provider.coefficients(mu),
+                           trained.model.provider.coefficients(mu))
+        assert_array_equal(model.provider.coefficient_gradients(mu),
+                           trained.model.provider.coefficient_gradients(mu))
+        # per-trajectory fits on the tiny grid blow up when integrated, so
+        # the rest of the model is compared part by part
+        assert model.library == trained.model.library
+        assert model.grid == trained.model.grid
+        assert_array_equal(model.reducer.basis, trained.model.reducer.basis)
+        assert_array_equal(model.initial_state(mu), trained.model.initial_state(mu))
 
     def test_train_stats_report_step_spectrum(self, tiny_setup, tmp_path):
         cfg, snaps, _, _ = tiny_setup

@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.linalg import expm
 
+from wlasdi import io as wio
 from wlasdi.core import TimeGrid
 from wlasdi.features import FeatureLibrary
 from wlasdi.providers import (
@@ -240,6 +241,33 @@ class TestGP:
         with pytest.raises(ValueError):
             fit_gp(training_coefficients, lengthscale=-1.0)
 
+    @pytest.mark.parametrize("lengthscale", [None, 0.5])
+    def test_matches_closed_form_gp_mean(self, training_coefficients, lengthscale):
+        # SE-kernel GP predictive mean m(mu) = k(mu)^T (K + jitter I)^-1 Y with
+        # k = a exp(-r^2 / (2 l^2)) and jitter 1e-8 a; the amplitude a is
+        # arbitrary because it cancels. Default l: mean nearest-neighbour
+        # distance of the training parameters.
+        params, coeffs = training_coefficients.params, training_coefficients.coeffs
+        count = params.shape[0]
+        r = np.linalg.norm(params[:, None] - params[None], axis=-1)
+        ell = lengthscale
+        if ell is None:
+            ell = np.mean(np.min(r + np.diag(np.full(count, np.inf)), axis=1))
+        amplitude = 3.7
+        gram = amplitude * np.exp(-(r**2) / (2 * ell**2))
+        weights = np.linalg.solve(gram + 1e-8 * amplitude * np.eye(count),
+                                  coeffs.reshape(count, -1))
+        provider = fit_gp(training_coefficients, lengthscale)
+        for mu in np.random.default_rng(300).uniform(-0.2, 1.2, size=(20, 2)):
+            diff = params - mu  # (K, n_mu)
+            k = amplitude * np.exp(-np.sum(diff**2, axis=1) / (2 * ell**2))
+            w_ref = (k @ weights).reshape(provider.shape)
+            g_ref = ((k[:, None] * diff / ell**2).T @ weights).reshape(
+                (2,) + provider.shape)
+            w, g = provider.coefficients(mu), provider.coefficient_gradients(mu)
+            assert np.max(np.abs(w - w_ref)) <= 1e-12 * np.max(np.abs(w_ref))
+            assert np.max(np.abs(g - g_ref)) <= 1e-12 * np.max(np.abs(g_ref))
+
 
 class TestSerialization:
     @pytest.mark.parametrize("strategy", ["global", "implicit", "rbf", "convex", "gp"])
@@ -266,6 +294,30 @@ class TestSerialization:
         assert_allclose(back.coefficients(mu), provider.coefficients(mu), atol=1e-13)
         assert_allclose(back.coefficient_gradients(mu),
                         provider.coefficient_gradients(mu), atol=1e-13)
+
+
+    def test_gp_bundle_without_kernel_shape_parameter_rejected(
+        self, tmp_path, training_coefficients
+    ):
+        # the bundle layout of the earlier GP provider (lengthscale,
+        # amplitude, jitter) must not load as a kernel with guessed epsilon
+        tc = training_coefficients
+        prefix = tmp_path / "prov"
+        meta = {"kind": "coefficient_provider", "strategy": "gp",
+                "shape": list(tc.coeffs.shape[1:]),
+                "hyperparameters": {"lengthscale": 0.3, "amplitude": 1.0, "jitter": 1e-8}}
+        wio.write_matrix(f"{prefix}.coeffs.bin", tc.coeffs.reshape(tc.count, -1), meta)
+        wio.write_matrix(f"{prefix}.params.bin", tc.params, {"kind": "provider_params"})
+        with pytest.raises(wio.ConsistencyError, match="'epsilon'"):
+            load_provider(prefix)
+
+    def test_unknown_strategy_rejected(self, tmp_path):
+        prefix = tmp_path / "prov"
+        wio.write_matrix(f"{prefix}.coeffs.bin", np.zeros((2, 2)),
+                         {"kind": "coefficient_provider", "strategy": "spline",
+                          "shape": [2, 2]})
+        with pytest.raises(wio.ConsistencyError, match="spline"):
+            load_provider(prefix)
 
 
 class TestTrainingCoefficients:

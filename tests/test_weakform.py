@@ -6,7 +6,6 @@ from wlasdi.core import TimeGrid
 from wlasdi.features import FeatureLibrary
 from wlasdi.weakform import (
     build_test_functions,
-    load_dynamics,
     sindy_fit,
     weak_system,
     wendy_fit,
@@ -169,20 +168,6 @@ class TestSindyFit:
         lib = FeatureLibrary(latent_dim=1, degree=1)
         with pytest.raises(ValueError):
             sindy_fit(np.zeros((2, 1)), lib, TimeGrid(1.0, 1))
-
-
-class TestSerialization:
-    def test_round_trip(self, tmp_path):
-        grid = TimeGrid(1.0, 300)
-        rng = np.random.default_rng(12)
-        z = rng.normal(size=(301, 2)).cumsum(axis=0) * 0.01
-        lib = FeatureLibrary(latent_dim=2, degree=2)
-        dyn = wendy_fit(z, lib, build_test_functions(grid, count=60))
-        path = tmp_path / "dynamics.bin"
-        dyn.save(path)
-        back = load_dynamics(path)
-        assert_allclose(back.coefficients, dyn.coefficients)
-        assert back.library == dyn.library
 
 
 class TestNoiseRobustness:
