@@ -20,9 +20,7 @@ from .pod import LinearReducer, pod_fit
 from .providers import (
     TrainingCoefficients,
     fit_convex,
-    fit_global,
     fit_gp,
-    fit_implicit,
     fit_rbf,
 )
 from .rom import ButcherTableau, LatentModel, integrate_latent, predict_full

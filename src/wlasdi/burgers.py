@@ -39,28 +39,20 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg.lapack import dtbtrs
 
-from .core import ParameterDomain, SnapshotMatrix, TimeGrid, as_vector
+from .core import SnapshotMatrix, TimeGrid, as_vector
 from .sensitivity import GradientResult
 
 __all__ = [
     "BurgersConfig",
     "NewtonConvergenceError",
-    "BENCHMARK_DOMAIN",
     "initial_condition",
     "initial_condition_gradient",
     "fom_step",
     "fom_solve",
     "fom_solve_batch",
-    "fom_step_jacobians",
     "fom_gradient_direct",
     "fom_gradient_adjoint",
 ]
-
-# Benchmark parameter box: [a1, w1, a2, w2].
-BENCHMARK_DOMAIN = ParameterDomain(
-    lower=np.array([0.7, 0.9, 0.7, 0.9]),
-    upper=np.array([0.9, 1.1, 0.9, 1.1]),
-)
 
 _PULSE_CENTERS = (5.0, -5.0)
 
@@ -277,26 +269,6 @@ def fom_solve_batch(mus, cfg: BurgersConfig) -> list[SnapshotMatrix]:
 def fom_solve(mu, cfg: BurgersConfig) -> SnapshotMatrix:
     """Full trajectory from the parameterized initial condition."""
     return fom_solve_batch([mu], cfg)[0]
-
-
-def fom_step_jacobians(u_prev, u_next, cfg: BurgersConfig):
-    """(dr_n/du_n, dr_n/du_{n-1}) for one accepted step, as sparse matrices.
-
-    Assembled entry by entry, apart from the banded solver; the tests use
-    it as the reference for ``_cyclic_solve``.
-    """
-    import scipy.sparse as sp  # only this reference needs scipy.sparse
-
-    u_next = np.asarray(u_next, dtype=float)
-    n = u_next.size
-    diag, off = _jacobian_parts(u_next, cfg)
-    shift = 1 if cfg.upwind == "forward" else -1
-    rows = np.concatenate([np.arange(n), np.arange(n)])
-    cols = np.concatenate([np.arange(n), (np.arange(n) + shift) % n])
-    data = np.concatenate([diag, off])
-    j_n = sp.csc_matrix((data, (rows, cols)), shape=(n, n))
-    j_prev = -sp.identity(n, format="csc")
-    return j_n, j_prev
 
 
 def _objective(u_final: np.ndarray, target: np.ndarray) -> float:

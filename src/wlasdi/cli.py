@@ -256,13 +256,14 @@ def main(argv=None) -> int:
         if args.seed is not None:
             cfg.seed = args.seed
         code = args.func(cfg, args)
+    # Numerical errors first: LinAlgError subclasses ValueError.
+    except (NewtonConvergenceError, LatentBlowupError, np.linalg.LinAlgError) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return NUMERICAL_ERROR
     except (OSError, json.JSONDecodeError, ValueError, KeyError,
             wio.FormatError, wio.ConsistencyError) as exc:
         print(f"config/usage error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (NewtonConvergenceError, LatentBlowupError, np.linalg.LinAlgError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return NUMERICAL_ERROR
     return code
 
 

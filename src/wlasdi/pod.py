@@ -26,7 +26,6 @@ class LinearReducer:
 
     basis: np.ndarray  # (n_state, latent_dim), orthonormal columns
     mean: np.ndarray | None = None
-    singular_values: np.ndarray | None = None
 
     def __post_init__(self):
         b = np.asarray(self.basis, dtype=float)
@@ -157,4 +156,4 @@ def pod_fit(
     if k > rank:
         k = max(rank, 1)
     basis = _fix_signs(basis_full[:, :k].copy())
-    return LinearReducer(basis, mean, singular_values=np.sqrt(sv_sq[:k]))
+    return LinearReducer(basis, mean)

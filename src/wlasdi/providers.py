@@ -30,8 +30,6 @@ from pathlib import Path
 import numpy as np
 
 from . import io as wio
-from .features import FeatureLibrary
-from .weakform import TestFunctionBasis, wendy_fit
 
 __all__ = [
     "TrainingCoefficients",
@@ -40,8 +38,6 @@ __all__ = [
     "ImplicitCoefficients",
     "KernelCoefficients",
     "ConvexCoefficients",
-    "fit_global",
-    "fit_implicit",
     "fit_rbf",
     "fit_convex",
     "fit_gp",
@@ -143,13 +139,6 @@ class ImplicitCoefficients(_ConstantCoefficients):
     augmented = True
 
 
-def fit_global(
-    latents, library: FeatureLibrary, basis: TestFunctionBasis
-) -> GlobalCoefficients:
-    """Single mu-independent W from the stacked weak-form fit."""
-    return GlobalCoefficients(wendy_fit(latents, library, basis).coefficients)
-
-
 def augment_latents(latents, params) -> list[np.ndarray]:
     """Append each trajectory's constant parameter vector to its rows."""
     params = np.atleast_2d(np.asarray(params, dtype=float))
@@ -161,27 +150,6 @@ def augment_latents(latents, params) -> list[np.ndarray]:
         traj = np.asarray(traj, dtype=float)
         out.append(np.hstack([traj, np.tile(mu, (traj.shape[0], 1))]))
     return out
-
-
-def fit_implicit(
-    latents, params, library: FeatureLibrary, basis: TestFunctionBasis
-) -> ImplicitCoefficients:
-    """Global W for the parameter-augmented latent state.
-
-    ``library`` must act on the augmented vector (library.n_mu matching the
-    parameter count). With zero parameters this degenerates to fit_global.
-    """
-    params = np.atleast_2d(np.asarray(params, dtype=float))
-    if library.n_mu != params.shape[1]:
-        raise ValueError(
-            f"library expects {library.n_mu} parameter components, got {params.shape[1]}"
-        )
-    if params.shape[1] == 0:
-        return ImplicitCoefficients(
-            wendy_fit(latents, library, basis).coefficients
-        )
-    augmented = augment_latents(latents, params)
-    return ImplicitCoefficients(wendy_fit(augmented, library, basis).coefficients)
 
 
 def _pairwise_distances(points: np.ndarray) -> np.ndarray:

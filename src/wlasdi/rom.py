@@ -1,30 +1,29 @@
 """Latent-space prediction: explicit Runge-Kutta integration of identified
-dynamics plus the residual partial derivatives needed for sensitivities.
+dynamics and the step linearization needed for sensitivities.
 
-With stages
+One explicit RK step from y_0 runs the stage recursion
 
-    k_1 = W^T theta(z),
-    k_j = W^T theta(z + dt * sum_{i<j} a_ji k_i),
+    y_j = y_0 + dt * sum_{i<j} a_ji k_i,   k_j = f(y_j),
+    step = y_0 + sum_j (dt * b_j) k_j,
 
-a step reads z_n = z_{n-1} + dt * sum_j b_j k_j, and the step residual
+and pushes a forward tangent through the same sums: the tangent of y_j is
+the tangent of y_0 plus dt * sum_{i<j} a_ji times the stage tangents, and
+the field supplies the tangent of k_j. ``StepOperator`` runs it with one of
+two fields at a frozen W(mu):
 
-    rtilde_n = z_n - z_{n-1} - dt * sum_j b_j k_j(z_{n-1})
+* degree-1 library: f(Y) = H Y on (d+1) x (d+1) matrices, with
+  H = [[A, c], [0, 0]] from W^T [1; z] = c + A z and tangent
+  dH_p Y + H dY_p. From Y_0 = I and a zero tangent the step is the affine
+  map [M m; 0 1] and its mu-derivative, built once per W(mu).
+* degree-2 library: f(y) = W^T theta(y) on the state, with tangent
+  W^T grad_theta(y) T + [0 | dW^T/dmu theta(y)]. Seeded with
+  T_0 = [I_d | 0], the step tangent is [dz_n/dz_{n-1} | dz_n/dmu].
 
-vanishes identically on integrated trajectories. Its partials follow from
-the product and chain rules applied through the stage recursion:
-
-    dk_j/dz   = W^T grad_theta(y_j) (I + dt * sum_{i<j} a_ji dk_i/dz)
-    dk_j/dmu  = dW^T/dmu theta(y_j) + W^T grad_theta(y_j) dt sum a_ji dk_i/dmu
-
-where y_j is the stage argument. drtilde_n/dz_n = I for any explicit
-scheme, drtilde_n/dz_{n-1} = -I - dt sum b_j dk_j/dz, and
-drtilde_n/dmu = -dt sum b_j dk_j/dmu. The n = 0 residual pins the encoded
+With the step residual rtilde_n = z_n - step(z_{n-1}), the sensitivity
+sweeps use drtilde_n/dz_n = I and the negated step tangent for
+drtilde_n/dz_{n-1} and drtilde_n/dmu. The n = 0 residual pins the encoded
 initial condition: rtilde_0 = z_0 - encode(g(mu)) (with the parameter block
 appended in the augmented formulation).
-
-``StepOperator`` packages one step and these partials at a frozen W(mu).
-For a degree-1 library the step is affine and both are built once per
-W(mu) rather than once per step.
 """
 from __future__ import annotations
 
@@ -42,15 +41,11 @@ __all__ = [
     "ButcherTableau",
     "LatentModel",
     "LatentBlowupError",
-    "rk_step",
     "StepOperator",
     "integrate_latent",
     "predict_full",
     "latent_initial",
     "latent_initial_sensitivity",
-    "stage_derivatives",
-    "reduced_residual_partials",
-    "step_residual",
 ]
 
 _BLOWUP_FACTOR = 1e6
@@ -189,36 +184,17 @@ def latent_initial_sensitivity(model: LatentModel, mu) -> np.ndarray:
     return sens
 
 
-def rk_step(model: LatentModel, w: np.ndarray, z_prev: np.ndarray):
-    """One explicit RK step; returns (z_next, stage_args, stage_values)."""
-    a, b = model.tableau.a, model.tableau.b
-    dt = model.grid.dt
-    wt = w.T
-    ys, ks = [], []
-    for j in range(model.tableau.stages):
-        y = z_prev.copy()
-        for i in range(j):
-            if a[j, i] != 0.0:
-                y += (dt * a[j, i]) * ks[i]
-        k = wt @ model.library.evaluate(y)
-        ys.append(y)
-        ks.append(k)
-    z_next = z_prev + dt * (b @ np.asarray(ks))
-    return z_next, ys, ks
-
-
 class StepOperator:
     """One explicit RK step z_n = step(z_{n-1}) at a frozen W(mu), with its
-    linearization, built once per W(mu).
+    linearization.
 
     With a degree-1 library W^T theta(z) = c + A z is affine, and so is the
     step: z_n = M z_{n-1} + m, where [M m; 0 1] is the RK stability
-    polynomial of H = [[A, c], [0, 0]]. It is built by running the tableau's
-    own stage recursion on the (d+1) x (d+1) identity, and d[M m]/dmu_p by
-    pushing dH_p (H assembled from dW/dmu_p) through the same recursion.
-    Then dz_n/dz_{n-1} = M for every n, and the partial dz_n/dmu_p is
-    dM_p z_{n-1} + dm_p. Degree-2 libraries step through ``rk_step`` and
-    linearize through ``reduced_residual_partials`` at each state.
+    polynomial of H = [[A, c], [0, 0]]. The stage recursion builds it once
+    per W(mu) from the (d+1) x (d+1) identity, and d[M m]/dmu_p from the
+    tangent dH_p (H assembled from dW/dmu_p). Then dz_n/dz_{n-1} = M for
+    every n, and the partial dz_n/dmu_p is dM_p z_{n-1} + dm_p. A degree-2
+    library runs the recursion on the state at each step.
     """
 
     def __init__(self, model: LatentModel, w: np.ndarray, dw: np.ndarray | None = None):
@@ -228,16 +204,35 @@ class StepOperator:
         self.affine = model.library.degree == 1
         if self.affine:
             d = model.state_dim
-            step, tangent = _affine_stage_recursion(model, w, dw)
+            h = _homogeneous(w)
+            dh = None if dw is None else _homogeneous(dw)
+
+            def field(y, ty):
+                return h @ y, None if ty is None else dh @ y + h @ ty
+
+            step, tangent = _stage_recursion(
+                model, np.eye(d + 1), None if dh is None else np.zeros_like(dh), field
+            )
             self.matrix = step[:d, :d]
             self.offset = step[:d, d]
             self._dmatrix = None if tangent is None else tangent[:, :d, :d]
             self._doffset = None if tangent is None else tangent[:, :d, d]
 
+    def _field(self, y, ty):
+        """W^T theta(y) and, for ty = [dy/dz | dy/dmu], its tangent."""
+        theta = self.model.library.evaluate(y)
+        k = self.w.T @ theta
+        if ty is None:
+            return k, None
+        tk = self.w.T @ self.model.library.jacobian(y) @ ty
+        if self.dw is not None:
+            tk[:, self.model.state_dim :] += np.einsum("pjd,j->dp", self.dw, theta)
+        return k, tk
+
     def advance(self, z_prev: np.ndarray) -> np.ndarray:
         if self.affine:
             return self.matrix @ z_prev + self.offset
-        return rk_step(self.model, self.w, z_prev)[0]
+        return _stage_recursion(self.model, z_prev, None, self._field)[0]
 
     def linearize(self, z_prev: np.ndarray):
         """(dz_n/dz_{n-1} (d, d), partial dz_n/dmu (d, n_mu) or None) at z_{n-1}.
@@ -248,10 +243,10 @@ class StepOperator:
             if self._dmatrix is None:
                 return self.matrix, None
             return self.matrix, (self._dmatrix @ z_prev + self._doffset).T
-        _, dr_dz_prev, dr_dmu = reduced_residual_partials(
-            self.model, self.w, self.dw, z_prev
-        )
-        return -dr_dz_prev, None if dr_dmu is None else -dr_dmu
+        d = self.model.state_dim
+        n_mu = 0 if self.dw is None else self.dw.shape[0]
+        _, tangent = _stage_recursion(self.model, z_prev, np.eye(d, d + n_mu), self._field)
+        return tangent[:, :d], None if self.dw is None else tangent[:, d:]
 
     def trajectory(self, z0: np.ndarray) -> np.ndarray:
         """States (steps+1, d) from z0; raises LatentBlowupError at the first
@@ -291,34 +286,32 @@ def _homogeneous(w: np.ndarray) -> np.ndarray:
     return h
 
 
-def _affine_stage_recursion(model: LatentModel, w: np.ndarray, dw: np.ndarray | None):
-    """[M m; 0 1] and, when dw is given, its tangents (n_mu, d+1, d+1).
+def _stage_recursion(model: LatentModel, y0: np.ndarray, ty0, field):
+    """One explicit RK step from y0, with the tangent ty0 pushed through it.
 
-    K_j = H (I + dt sum_{i<j} a_ji K_i), S = I + dt sum_j b_j K_j; the
-    tangent recursion differentiates each product with respect to H.
+    ``field(y, ty)`` returns the stage value k = f(y) and its tangent, which
+    is None when ``ty0`` is None. Returns (step, tangent of the step or None).
     """
     a, b = model.tableau.a, model.tableau.b
     dt = model.grid.dt
-    h = _homogeneous(w)
-    dh = None if dw is None else _homogeneous(dw)
-    eye = np.eye(h.shape[0])
-    step = eye.copy()
-    tangent = None if dh is None else np.zeros_like(dh)
-    ks, dks = [], []
+    step = y0.copy()
+    tstep = None if ty0 is None else ty0.copy()
+    ks, tks = [], []
     for j in range(model.tableau.stages):
-        y = eye.copy()
-        dy = None if dh is None else np.zeros_like(dh)
+        y = y0.copy()
+        ty = None if ty0 is None else ty0.copy()
         for i in range(j):
             if a[j, i] != 0.0:
                 y += (dt * a[j, i]) * ks[i]
-                if dh is not None:
-                    dy += (dt * a[j, i]) * dks[i]
-        ks.append(h @ y)
-        step += (dt * b[j]) * ks[j]
-        if dh is not None:
-            dks.append(dh @ y + h @ dy)
-            tangent += (dt * b[j]) * dks[j]
-    return step, tangent
+                if ty is not None:
+                    ty += (dt * a[j, i]) * tks[i]
+        k, tk = field(y, ty)
+        ks.append(k)
+        tks.append(tk)
+        step += (dt * b[j]) * k
+        if tstep is not None:
+            tstep += (dt * b[j]) * tk
+    return step, tstep
 
 
 def integrate_latent(model: LatentModel, mu, w: np.ndarray | None = None) -> np.ndarray:
@@ -333,70 +326,3 @@ def predict_full(model: LatentModel, mu) -> SnapshotMatrix:
     """Integrate the latent dynamics and decode every time level."""
     z = integrate_latent(model, mu)
     return SnapshotMatrix(model.decode_state(z), model.grid, np.asarray(mu, float))
-
-
-def step_residual(model: LatentModel, w: np.ndarray, z_prev, z_next) -> np.ndarray:
-    """rtilde_n evaluated at a pair of consecutive states."""
-    advanced, _, _ = rk_step(model, w, np.asarray(z_prev, float))
-    return np.asarray(z_next, float) - advanced
-
-
-def stage_derivatives(
-    model: LatentModel,
-    w: np.ndarray,
-    dw: np.ndarray | None,
-    z_prev: np.ndarray,
-):
-    """Stage partials at one step: (dk/dz (s,d,d), dk/dmu (s,d,n_mu) or None)."""
-    a = model.tableau.a
-    dt = model.grid.dt
-    s = model.tableau.stages
-    d = model.state_dim
-    wt = w.T
-    lib = model.library
-
-    dk_dz = np.empty((s, d, d))
-    dk_dmu = None if dw is None else np.empty((s, d, dw.shape[0]))
-    ks = []
-    for j in range(s):
-        y = z_prev + dt * (a[j, :j] @ np.asarray(ks)) if j else z_prev
-        theta = lib.evaluate(y)
-        ks.append(wt @ theta)
-        grad = wt @ lib.jacobian(y)  # (d, d)
-        dy_dz = np.eye(d)
-        for i in range(j):
-            if a[j, i] != 0.0:
-                dy_dz += (dt * a[j, i]) * dk_dz[i]
-        dk_dz[j] = grad @ dy_dz
-        if dw is not None:
-            term = np.einsum("pjd,j->dp", dw, theta)  # dW^T/dmu theta(y_j)
-            dy_dmu = np.zeros((d, dw.shape[0]))
-            for i in range(j):
-                if a[j, i] != 0.0:
-                    dy_dmu += (dt * a[j, i]) * dk_dmu[i]
-            dk_dmu[j] = term + grad @ dy_dmu
-    return dk_dz, dk_dmu
-
-
-def reduced_residual_partials(
-    model: LatentModel,
-    w: np.ndarray,
-    dw: np.ndarray | None,
-    z_prev: np.ndarray,
-):
-    """Partials of rtilde_n (n >= 1) taken at its left state z_{n-1}.
-
-    Returns (drtilde/dz_n, drtilde/dz_{n-1}, drtilde/dmu); the first is the
-    identity for every explicit scheme and drtilde/dmu is None when the
-    provider has exactly zero parameter sensitivity.
-    """
-    b = model.tableau.b
-    dt = model.grid.dt
-    dk_dz, dk_dmu = stage_derivatives(model, w, dw, z_prev)
-    d = model.state_dim
-    dr_dz_next = np.eye(d)
-    dr_dz_prev = -np.eye(d) - dt * np.einsum("j,jab->ab", b, dk_dz)
-    dr_dmu = None
-    if dk_dmu is not None:
-        dr_dmu = -dt * np.einsum("j,jab->ab", b, dk_dmu)
-    return dr_dz_next, dr_dz_prev, dr_dmu

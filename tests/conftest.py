@@ -35,6 +35,27 @@ def identity_model(w, grid, z0, tableau=None, degree=1):
     )
 
 
+def reference_rk_step(model, w, z):
+    """One explicit RK step of dz/dt = W^T theta(z), written out stage by stage.
+
+    The oracle for ``StepOperator.advance``: it sums the stages in the same
+    order, so on a degree-2 library the two agree bit for bit.
+    """
+    a, b = model.tableau.a, model.tableau.b
+    dt = model.grid.dt
+    z = np.asarray(z, dtype=float)
+    z_next = z.copy()
+    ks = []
+    for j in range(model.tableau.stages):
+        y = z.copy()
+        for i in range(j):
+            if a[j, i] != 0.0:
+                y += (dt * a[j, i]) * ks[i]
+        ks.append(w.T @ model.library.evaluate(y))
+        z_next += (dt * b[j]) * ks[j]
+    return z_next
+
+
 def smooth_initial_map(n_state, n_mu, seed=0):
     """A smooth synthetic g(mu) with its analytic partial derivatives."""
     rng = np.random.default_rng(seed)

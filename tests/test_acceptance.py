@@ -35,22 +35,16 @@ from wlasdi.pipeline import (
 )
 from wlasdi.pod import pod_fit
 from wlasdi.providers import (
+    GlobalCoefficients,
+    ImplicitCoefficients,
     TrainingCoefficients,
     augment_latents,
     fit_convex,
-    fit_global,
     fit_gp,
-    fit_implicit,
     fit_rbf,
 )
 from wlasdi.optimize import OptProblem, nelder_mead_minimize
-from wlasdi.rom import (
-    integrate_latent,
-    reduced_residual_partials,
-    rk_step,
-    stage_derivatives,
-    step_residual,
-)
+from wlasdi.rom import StepOperator, integrate_latent
 from wlasdi.sensitivity import (
     TargetMismatch,
     fd_gradient,
@@ -60,7 +54,7 @@ from wlasdi.sensitivity import (
 )
 from wlasdi.weakform import build_test_functions, sindy_fit, wendy_fit
 
-from conftest import toy_model
+from conftest import reference_rk_step, toy_model
 
 
 def report(criterion: int, message: str) -> None:
@@ -316,12 +310,15 @@ def test_criterion_7_provider_suite():
     t = grid.times()
     latents = [np.exp(-m * t)[:, None] for m in (0.5, 1.0, 1.5)]
     basis = build_test_functions(grid)
-    glob = fit_global(latents, FeatureLibrary(1, degree=1), basis)
-    impl = fit_implicit(
-        latents,
-        np.array([[0.5], [1.0], [1.5]]),
-        FeatureLibrary(1, degree=2, n_mu=1),
-        basis,
+    glob = GlobalCoefficients(
+        wendy_fit(latents, FeatureLibrary(1, degree=1), basis).coefficients
+    )
+    impl = ImplicitCoefficients(
+        wendy_fit(
+            augment_latents(latents, np.array([[0.5], [1.0], [1.5]])),
+            FeatureLibrary(1, degree=2, n_mu=1),
+            basis,
+        ).coefficients
     )
     for provider, n_mu in ((glob, 3), (impl, 1)):
         grads = provider.coefficient_gradients(np.zeros(n_mu))
@@ -351,56 +348,47 @@ def test_criterion_8_integrator_suite():
     orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
     assert all(abs(o - 4.0) <= 0.3 for o in orders)
 
-    # integrated trajectories satisfy their own residuals at working precision
+    # integrated trajectories satisfy their residuals against the
+    # reference step at working precision
     model = toy_model(provider_kind="rbf", degree=2, n_steps=30, seed=8)
     mu = np.array([0.45, 0.55])
     w_mu = model.provider.coefficients(mu)
     z = integrate_latent(model, mu, w_mu)
     res_worst = max(
-        np.max(np.abs(step_residual(model, w_mu, z[n - 1], z[n])))
+        np.max(np.abs(z[n] - reference_rk_step(model, w_mu, z[n - 1])))
         for n in range(1, 31)
     )
     assert res_worst <= 1e-13 * max(1.0, np.max(np.abs(z)))
 
-    # stage and residual partials against central differences
+    # step partials against central differences of the step, in the state
+    # at W(mu) and in mu through a frozen W
     dw = model.provider.coefficient_gradients(mu)
     zp = z[10]
-    dk_dz, dk_dmu = stage_derivatives(model, w_mu, dw, zp)
+    jac, jac_mu = StepOperator(model, w_mu, dw).linearize(zp)
     h = 1e-6
     worst = 0.0
-    for j in range(model.tableau.stages):
-        fd_z = np.empty((3, 3))
-        for c in range(3):
-            up, down = zp.copy(), zp.copy()
-            up[c] += h
-            down[c] -= h
-            _, _, ks_u = rk_step(model, w_mu, up)
-            _, _, ks_d = rk_step(model, w_mu, down)
-            fd_z[:, c] = (ks_u[j] - ks_d[j]) / (2 * h)
-        worst = max(worst, np.max(np.abs(dk_dz[j] - fd_z)))
-    _, dr_dz_prev, dr_dmu = reduced_residual_partials(model, w_mu, dw, zp)
-    fd_step = np.empty((3, 3))
+    op = StepOperator(model, w_mu)
     for c in range(3):
         up, down = zp.copy(), zp.copy()
         up[c] += h
         down[c] -= h
-        fd_step[:, c] = (rk_step(model, w_mu, up)[0] - rk_step(model, w_mu, down)[0]) / (2 * h)
-    worst = max(worst, np.max(np.abs(dr_dz_prev + fd_step)))
+        fd_z = (op.advance(up) - op.advance(down)) / (2 * h)
+        worst = max(worst, np.max(np.abs(jac[:, c] - fd_z)))
     for i in range(2):
         up, down = mu.copy(), mu.copy()
         up[i] += h
         down[i] -= h
-        fd_mu = -(
-            rk_step(model, model.provider.coefficients(up), zp)[0]
-            - rk_step(model, model.provider.coefficients(down), zp)[0]
+        fd_mu = (
+            StepOperator(model, model.provider.coefficients(up)).advance(zp)
+            - StepOperator(model, model.provider.coefficients(down)).advance(zp)
         ) / (2 * h)
-        worst = max(worst, np.max(np.abs(dr_dmu[:, i] - fd_mu)))
+        worst = max(worst, np.max(np.abs(jac_mu[:, i] - fd_mu)))
     assert worst <= 1e-6
     report(
         8,
         f"RK4 observed orders {orders[0]:.2f}, {orders[1]:.2f} (4 +/- 0.3); "
         f"max residual on integrated trajectory {res_worst:.1e}; "
-        f"stage/residual partials vs FD worst {worst:.1e} (<= 1e-6)",
+        f"step partials vs FD worst {worst:.1e} (<= 1e-6)",
     )
 
 

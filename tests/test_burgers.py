@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.sparse.linalg import splu
@@ -14,13 +15,29 @@ from wlasdi.burgers import (
     fom_solve,
     fom_solve_batch,
     fom_step,
-    fom_step_jacobians,
     initial_condition,
     initial_condition_gradient,
     residual,
 )
 
 MU_TARGET = np.array([0.75, 1.05, 0.85, 0.95])
+
+
+def fom_step_jacobians(u_prev, u_next, cfg):
+    """(dr_n/du_n, dr_n/du_{n-1}) for one step, as sparse matrices, from
+    the definition dr_n/du_n = I + dt (diag(D u_n) + diag(u_n) D) with D
+    the periodic one-sided difference matrix; the reference for
+    ``_cyclic_solve``."""
+    u_next = np.asarray(u_next, dtype=float)
+    n = u_next.size
+    shift = 1 if cfg.upwind == "forward" else -1
+    neighbour = sp.csc_matrix(
+        (np.ones(n), (np.arange(n), (np.arange(n) + shift) % n)), shape=(n, n)
+    )
+    eye = sp.identity(n, format="csc")
+    d = (neighbour - eye) / cfg.dx if shift == 1 else (eye - neighbour) / cfg.dx
+    j_n = eye + cfg.grid.dt * (sp.diags(d @ u_next) + sp.diags(u_next) @ d)
+    return sp.csc_matrix(j_n), -eye
 
 
 def coarse_config(**kwargs):

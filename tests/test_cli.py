@@ -148,6 +148,15 @@ class TestExitCodes:
         path.write_text(json.dumps(cfg))
         assert run(["--config", str(path), "--out", str(tmp_path), "fom-run"]) == 2
 
+    def test_linalg_error_is_two(self, tiny_config_path, tmp_path, monkeypatch):
+        # LinAlgError subclasses ValueError, which alone would map to 1
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr("wlasdi.cli.fom_solve", singular)
+        assert run(["--config", tiny_config_path, "--out", str(tmp_path),
+                    "fom-run"]) == 2
+
     def test_non_bundle_model_dir_is_one(self, tiny_config_path, tmp_path, capsys):
         model = tmp_path / "m"
         model.mkdir()

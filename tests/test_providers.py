@@ -7,12 +7,12 @@ from wlasdi import io as wio
 from wlasdi.core import TimeGrid
 from wlasdi.features import FeatureLibrary
 from wlasdi.providers import (
+    GlobalCoefficients,
+    ImplicitCoefficients,
     TrainingCoefficients,
     augment_latents,
     fit_convex,
-    fit_global,
     fit_gp,
-    fit_implicit,
     fit_rbf,
     load_provider,
     save_provider,
@@ -55,7 +55,7 @@ class TestGlobalAndImplicit:
         z = np.cumsum(rng.normal(size=(401, 2)), axis=0) * 0.01
         lib = FeatureLibrary(latent_dim=2, degree=1)
         basis = build_test_functions(grid)
-        provider = fit_global([z], lib, basis)
+        provider = GlobalCoefficients(wendy_fit([z], lib, basis).coefficients)
         ref = wendy_fit(z, lib, basis).coefficients
         assert_array_equal(provider.coefficients(np.zeros(3)), ref)
 
@@ -64,7 +64,9 @@ class TestGlobalAndImplicit:
         grid = TimeGrid(1.0, 300)
         z = rng.normal(size=(301, 2))
         lib = FeatureLibrary(latent_dim=2, degree=1)
-        provider = fit_global([z], lib, build_test_functions(grid))
+        provider = GlobalCoefficients(
+            wendy_fit([z], lib, build_test_functions(grid)).coefficients
+        )
         mu = np.array([0.3, 0.7, -0.2])
         assert_array_equal(provider.coefficient_gradients(mu),
                            np.zeros((3, lib.size, lib.dim)))
@@ -76,7 +78,9 @@ class TestGlobalAndImplicit:
         grid = TimeGrid(2.0, 1500)
         trajs = self.linear_trajectories(a, rng.normal(size=(2, 2)), grid)
         lib = FeatureLibrary(latent_dim=2, degree=1)
-        provider = fit_global(trajs, lib, build_test_functions(grid))
+        provider = GlobalCoefficients(
+            wendy_fit(trajs, lib, build_test_functions(grid)).coefficients
+        )
         w_true = np.vstack([np.zeros(2), a.T])
         assert np.max(np.abs(provider.coefficients(np.zeros(1)) - w_true)) <= 1e-3
 
@@ -89,7 +93,9 @@ class TestGlobalAndImplicit:
         latents = [np.exp(-mu[0] * t)[:, None] for mu in params]
         lib = FeatureLibrary(latent_dim=1, degree=2, n_mu=1)
         basis = build_test_functions(grid)
-        provider = fit_implicit(latents, params, lib, basis)
+        provider = ImplicitCoefficients(
+            wendy_fit(augment_latents(latents, params), lib, basis).coefficients
+        )
         assert provider.augmented
         w = provider.coefficients(params[0])
         for traj, mu in zip(augment_latents(latents, params), params):
@@ -98,17 +104,6 @@ class TestGlobalAndImplicit:
             assert np.max(np.abs(rates[:, 1])) <= 1e-2 * z_scale
         assert_array_equal(provider.coefficient_gradients(params[0]),
                            np.zeros((1,) + provider.shape))
-
-    def test_implicit_without_parameters_equals_global(self):
-        rng = np.random.default_rng(3)
-        grid = TimeGrid(1.0, 200)
-        z = rng.normal(size=(201, 2)).cumsum(axis=0) * 0.01
-        lib = FeatureLibrary(latent_dim=2, degree=1, n_mu=0)
-        basis = build_test_functions(grid)
-        imp = fit_implicit([z], np.zeros((1, 0)), lib, basis)
-        glo = fit_global([z], lib, basis)
-        assert_array_equal(imp.coefficients(np.zeros(0)),
-                           glo.coefficients(np.zeros(0)))
 
 
 class TestRBF:
@@ -275,8 +270,6 @@ class TestSerialization:
         rng = np.random.default_rng(0)
         if strategy in ("global", "implicit"):
             w = rng.normal(size=(4, 3))
-            from wlasdi.providers import GlobalCoefficients, ImplicitCoefficients
-
             provider = (GlobalCoefficients(w) if strategy == "global"
                         else ImplicitCoefficients(w))
         elif strategy == "rbf":

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.linalg import expm
 
@@ -12,13 +13,9 @@ from wlasdi.rom import (
     latent_initial,
     latent_initial_sensitivity,
     predict_full,
-    reduced_residual_partials,
-    rk_step,
-    stage_derivatives,
-    step_residual,
 )
 
-from conftest import identity_model, toy_model
+from conftest import identity_model, reference_rk_step, toy_model
 
 
 def linear_w(a):
@@ -52,7 +49,7 @@ class TestRKStep:
     def test_zero_coefficients_freeze_state(self):
         model = identity_model(np.zeros((3, 2)), TimeGrid(1.0, 10), np.zeros(2))
         z = np.array([0.3, -0.8])
-        z_next, _, _ = rk_step(model, np.zeros((3, 2)), z)
+        z_next = StepOperator(model, np.zeros((3, 2))).advance(z)
         assert_array_equal(z_next, z)
 
     def test_scalar_decay_hand_value(self):
@@ -60,14 +57,14 @@ class TestRKStep:
         # Taylor polynomial 1 - h + h^2/2 - h^3/6 + h^4/24 = 0.9048375.
         w = linear_w([[-1.0]])
         model = identity_model(w, TimeGrid(0.1, 1), np.ones(1))
-        z_next, _, _ = rk_step(model, w, np.ones(1))
+        z_next = StepOperator(model, w).advance(np.ones(1))
         assert z_next[0] == pytest.approx(0.9048375, abs=1e-15)
 
     def test_euler_tableau(self):
         w = linear_w([[-1.0]])
         model = identity_model(w, TimeGrid(0.1, 1), np.ones(1),
                                tableau=ButcherTableau.euler())
-        z_next, _, _ = rk_step(model, w, np.ones(1))
+        z_next = StepOperator(model, w).advance(np.ones(1))
         assert z_next[0] == pytest.approx(0.9, abs=1e-15)
 
     def test_fourth_order_convergence(self):
@@ -107,18 +104,19 @@ class TestIntegrate:
         z = integrate_latent(model, mu)
         worst = 0.0
         for n in range(1, model.grid.steps + 1):
-            r = step_residual(model, w, z[n - 1], z[n])
+            r = z[n] - reference_rk_step(model, w, z[n - 1])
             worst = max(worst, np.max(np.abs(r)))
         assert worst <= 1e-14 * max(1.0, np.max(np.abs(z)))
 
 
 def rk_trajectory(model, mu):
-    """The oracle: repeated rk_step with the blow-up guard of integrate_latent."""
+    """The oracle: repeated reference steps with the blow-up guard of
+    integrate_latent."""
     w = model.provider.coefficients(mu)
     z = [latent_initial(model, mu)]
     guard = 1e6 * max(1.0, np.max(np.abs(z[0])))
     for n in range(1, model.grid.steps + 1):
-        z.append(rk_step(model, w, z[-1])[0])
+        z.append(reference_rk_step(model, w, z[-1]))
         norm = np.max(np.abs(z[-1]))
         if not norm <= guard:
             return np.asarray(z[:-1]), (n, norm)
@@ -143,6 +141,9 @@ class TestStepOperator:
 
     @pytest.mark.parametrize("tableau", ["euler", "heun", "rk4"])
     def test_affine_linearization_matches_residual_partials(self, tableau):
+        # The reference step is affine in z and a polynomial of degree
+        # s <= 4 in W, so a unit difference in z and the five-point stencil
+        # along dW/dmu_p differentiate it exactly, up to roundoff.
         model = toy_model(provider_kind="rbf", degree=1, seed=6,
                           tableau=ButcherTableau.named(tableau))
         mu = np.array([0.35, 0.65])
@@ -151,10 +152,16 @@ class TestStepOperator:
         op = StepOperator(model, w, dw)
         z = 0.3 * np.random.default_rng(5).normal(size=3)
         jac, jac_mu = op.linearize(z)
-        _, dr_dz_prev, dr_dmu = reduced_residual_partials(model, w, dw, z)
-        assert_allclose(jac, -dr_dz_prev, rtol=0, atol=1e-14)
-        assert_allclose(jac_mu, -dr_dmu, rtol=0, atol=1e-14)
-        assert_allclose(op.advance(z), rk_step(model, w, z)[0], rtol=0, atol=1e-14)
+        exact = np.column_stack([
+            (reference_rk_step(model, w, z + e) - reference_rk_step(model, w, z - e)) / 2
+            for e in np.eye(3)
+        ])
+        assert_allclose(jac, exact, rtol=0, atol=1e-14)
+        for p in range(2):
+            f = {e: reference_rk_step(model, w + e * dw[p], z) for e in (-2, -1, 1, 2)}
+            exact = (f[-2] - 8 * f[-1] + 8 * f[1] - f[2]) / 12
+            assert_allclose(jac_mu[:, p], exact, rtol=0, atol=1e-14)
+        assert_allclose(op.advance(z), reference_rk_step(model, w, z), rtol=0, atol=1e-14)
 
     def test_degree_two_takes_stage_recursion(self):
         model = toy_model(provider_kind="rbf", degree=2, n_steps=20, seed=3)
@@ -222,6 +229,29 @@ class TestLatentInitial:
             assert np.max(np.abs(sens[:, i] - fd)) <= 1e-6
 
 
+PROVIDERS = ["global", "implicit", "rbf", "gp", "convex"]
+
+
+def fd_step_jacobians(model, mu, z, h=1e-6):
+    """Central differences of one step in z at W(mu), and in mu through W."""
+    def advance(m, v):
+        return StepOperator(model, model.provider.coefficients(m)).advance(v)
+
+    jac = [(advance(mu, z + h * e) - advance(mu, z - h * e)) / (2 * h)
+           for e in np.eye(z.size)]
+    jac_mu = [(advance(mu + h * e, z) - advance(mu - h * e, z)) / (2 * h)
+              for e in np.eye(mu.size)]
+    return np.column_stack(jac), np.column_stack(jac_mu)
+
+
+step_cases = given(
+    degree=st.sampled_from([1, 2]),
+    tableau=st.sampled_from(["euler", "heun", "rk4"]),
+    kind=st.sampled_from(PROVIDERS),
+    seed=st.integers(0, 2**16),
+)
+
+
 class TestStageDerivatives:
     def test_zero_coefficients(self):
         model = toy_model(provider_kind="rbf", degree=2)
@@ -229,89 +259,54 @@ class TestStageDerivatives:
         dw = model.provider.coefficient_gradients(mu)
         w = np.zeros(model.provider.shape)
         z = np.array([0.2, -0.1, 0.3])
-        dk_dz, dk_dmu = stage_derivatives(model, w, dw, z)
-        assert_array_equal(dk_dz, np.zeros_like(dk_dz))
-        # with W = 0 the stage arguments never move: dk_j/dmu = dW^T theta(z)
+        jac, jac_mu = StepOperator(model, w, dw).linearize(z)
+        assert_array_equal(jac, np.eye(3))
+        # with W = 0 the stage arguments never move: every stage has
+        # dk_j/dmu = dW^T theta(z), and the weights sum to one
         theta = model.library.evaluate(z)
-        expected = np.einsum("pjd,j->dp", dw, theta)
-        for j in range(model.tableau.stages):
-            assert_allclose(dk_dmu[j], expected, atol=1e-14)
+        expected = model.grid.dt * np.einsum("pjd,j->dp", dw, theta)
+        assert_allclose(jac_mu, expected, atol=1e-14)
 
     def test_zero_gradient_provider_skips_mu_block(self):
         model = toy_model(provider_kind="global")
         w = model.provider.coefficients(np.zeros(2))
-        _, dk_dmu = stage_derivatives(model, w, None, np.array([0.1, 0.2, 0.3]))
-        assert dk_dmu is None
-
-    def test_stage_jacobian_matches_fd(self):
-        rng = np.random.default_rng(3)
-        a = 0.5 * rng.normal(size=(3, 3))
-        w = linear_w(a)
-        model = identity_model(w, TimeGrid(1.0, 20), np.zeros(3))
-        z = rng.normal(size=3)
-        dk_dz, _ = stage_derivatives(model, w, None, z)
-        h = 1e-6
-        for j in range(4):
-            fd = np.empty((3, 3))
-            for c in range(3):
-                up, down = z.copy(), z.copy()
-                up[c] += h
-                down[c] -= h
-                _, _, ks_up = rk_step(model, w, up)
-                _, _, ks_down = rk_step(model, w, down)
-                fd[:, c] = (ks_up[j] - ks_down[j]) / (2 * h)
-            assert np.max(np.abs(dk_dz[j] - fd)) <= 1e-6
+        _, jac_mu = StepOperator(model, w).linearize(np.array([0.1, 0.2, 0.3]))
+        assert jac_mu is None
 
 
 class TestResidualPartials:
-    def test_next_state_jacobian_is_identity(self):
-        model = toy_model(provider_kind="global")
-        w = model.provider.coefficients(np.zeros(2))
-        dr_dz, _, _ = reduced_residual_partials(model, w, None, np.zeros(3))
-        assert_array_equal(dr_dz, np.eye(3))
-
     def test_zero_gradient_provider_has_no_mu_partial(self):
-        model = toy_model(provider_kind="global")
+        model = toy_model(provider_kind="global", degree=1)
         w = model.provider.coefficients(np.zeros(2))
-        _, _, dr_dmu = reduced_residual_partials(model, w, None, np.zeros(3))
-        assert dr_dmu is None
+        _, jac_mu = StepOperator(model, w).linearize(np.zeros(3))
+        assert jac_mu is None
 
-    def test_prev_state_jacobian_matches_fd_of_step_map(self):
-        model = toy_model(provider_kind="global", degree=2, seed=5)
-        mu = np.array([0.2, 0.8])
-        w = model.provider.coefficients(mu)
-        rng = np.random.default_rng(4)
-        z = 0.3 * rng.normal(size=3)
-        _, dr_dz_prev, _ = reduced_residual_partials(model, w, None, z)
-        h = 1e-6
-        fd = np.empty((3, 3))
-        for c in range(3):
-            up, down = z.copy(), z.copy()
-            up[c] += h
-            down[c] -= h
-            z_up, _, _ = rk_step(model, w, up)
-            z_down, _, _ = rk_step(model, w, down)
-            fd[:, c] = (z_up - z_down) / (2 * h)
-        # rtilde_n = z_n - step(z_{n-1}), so drtilde/dz_prev = -dstep/dz.
-        assert np.max(np.abs(dr_dz_prev + fd)) <= 1e-6
+    @settings(max_examples=40, deadline=None)
+    @step_cases
+    def test_prev_state_jacobian_matches_fd_of_step_map(self, degree, tableau, kind, seed):
+        model = toy_model(provider_kind=kind, degree=degree, seed=seed,
+                          tableau=ButcherTableau.named(tableau))
+        rng = np.random.default_rng(seed)
+        mu = rng.uniform(0.2, 0.8, size=2)
+        z = 0.3 * rng.normal(size=model.state_dim)
+        op = StepOperator(model, model.provider.coefficients(mu))
+        jac, _ = op.linearize(z)
+        fd, _ = fd_step_jacobians(model, mu, z)
+        assert np.max(np.abs(jac - fd)) <= 1e-6
 
-    def test_mu_partial_matches_fd_through_frozen_w(self):
-        model = toy_model(provider_kind="rbf", degree=2, seed=6)
-        mu = np.array([0.35, 0.65])
-        w = model.provider.coefficients(mu)
-        dw = model.provider.coefficient_gradients(mu)
-        rng = np.random.default_rng(5)
-        z = 0.3 * rng.normal(size=3)
-        _, _, dr_dmu = reduced_residual_partials(model, w, dw, z)
-        h = 1e-6
-        for i in range(2):
-            up, down = mu.copy(), mu.copy()
-            up[i] += h
-            down[i] -= h
-            z_up, _, _ = rk_step(model, model.provider.coefficients(up), z)
-            z_down, _, _ = rk_step(model, model.provider.coefficients(down), z)
-            fd = -(z_up - z_down) / (2 * h)
-            assert np.max(np.abs(dr_dmu[:, i] - fd)) <= 1e-6
+    @settings(max_examples=40, deadline=None)
+    @step_cases
+    def test_mu_partial_matches_fd_through_frozen_w(self, degree, tableau, kind, seed):
+        model = toy_model(provider_kind=kind, degree=degree, seed=seed,
+                          tableau=ButcherTableau.named(tableau))
+        rng = np.random.default_rng(seed)
+        mu = rng.uniform(0.2, 0.8, size=2)
+        z = 0.3 * rng.normal(size=model.state_dim)
+        op = StepOperator(model, model.provider.coefficients(mu),
+                          model.provider.coefficient_gradients(mu))
+        _, jac_mu = op.linearize(z)
+        _, fd = fd_step_jacobians(model, mu, z)
+        assert np.max(np.abs(jac_mu - fd)) <= 1e-6
 
 
 class TestPredictFull:
