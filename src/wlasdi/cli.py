@@ -115,6 +115,7 @@ def cmd_optimize(cfg: ExperimentConfig, args) -> int:
         "n_grad": res.n_grad,
         "opt_s": res.wall_seconds,
         "converged": res.converged,
+        "stop_reason": res.stop_reason,
         "optimizer": args.optimizer,
         "model": manifest.get("identification"),
     }

@@ -53,6 +53,9 @@ class OptResult:
     wall_seconds: float = 0.0
     converged: bool = False
     trace: list = field(default_factory=list)
+    # Why the run ended: "gradient", "line_search" or "max_iter" (BFGS),
+    # "tolerance" or "max_iter" (Nelder-Mead), "max_gen" (DE).
+    stop_reason: str = ""
 
 
 class _Counted:
@@ -119,12 +122,12 @@ def bfgs_minimize(
     fx = f0
     gx = g(x)
     trace = [(x.copy(), fx)]
-    converged = False
+    stop_reason = "max_iter"
     best_x, best_f = x.copy(), fx
 
     for _ in range(max_iter):
         if np.max(np.abs(gx)) <= grad_tol:
-            converged = True
+            stop_reason = "gradient"
             break
         p = -hess_inv @ gx
         slope = float(gx @ p)
@@ -149,7 +152,8 @@ def bfgs_minimize(
             if alpha * p_norm <= min_step:
                 break
         if f_new is None:
-            break  # line search failed; return best iterate
+            stop_reason = "line_search"  # return the best iterate
+            break
         x_new = x + alpha * p
         g_new = g(x_new)
         s = x_new - x
@@ -164,7 +168,8 @@ def bfgs_minimize(
         if fx < best_f:
             best_x, best_f = x.copy(), fx
     else:
-        converged = np.max(np.abs(gx)) <= grad_tol
+        if np.max(np.abs(gx)) <= grad_tol:
+            stop_reason = "gradient"
 
     if fx < best_f:
         best_x, best_f = x, fx
@@ -174,8 +179,9 @@ def bfgs_minimize(
         n_func=fn.calls,
         n_grad=gn.calls,
         wall_seconds=time.perf_counter() - t0,
-        converged=converged,
+        converged=stop_reason == "gradient",
         trace=trace,
+        stop_reason=stop_reason,
     )
 
 
@@ -205,7 +211,7 @@ def nelder_mead_minimize(
     simplex = np.asarray(simplex)
     values = np.array([fn(v) for v in simplex])
 
-    converged = False
+    stop_reason = "max_iter"
     trace = []
     for _ in range(max_iter):
         order = np.argsort(values, kind="stable")
@@ -213,7 +219,7 @@ def nelder_mead_minimize(
         trace.append((simplex[0].copy(), float(values[0])))
         diameter = np.max(np.linalg.norm(simplex[1:] - simplex[0], axis=1))
         if diameter <= tol:
-            converged = True
+            stop_reason = "tolerance"
             break
         centroid = simplex[:-1].mean(axis=0)
         worst = simplex[-1]
@@ -250,8 +256,9 @@ def nelder_mead_minimize(
         n_func=fn.calls,
         n_grad=0,
         wall_seconds=time.perf_counter() - t0,
-        converged=converged,
+        converged=stop_reason == "tolerance",
         trace=trace,
+        stop_reason=stop_reason,
     )
 
 
@@ -302,6 +309,7 @@ def differential_evolution(
         wall_seconds=time.perf_counter() - t0,
         converged=True,
         trace=trace,
+        stop_reason="max_gen",
     )
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import inspect
 import itertools
 import json
 import os
@@ -25,6 +26,7 @@ import numpy as np
 from . import io as wio
 from .burgers import (
     BurgersConfig,
+    NewtonConvergenceError,
     fom_solve,
     fom_solve_batch,
     initial_condition,
@@ -59,12 +61,14 @@ from .providers import (
     load_provider,
     save_provider,
 )
-from .rom import ButcherTableau, LatentModel, StepOperator, predict_full
-from .sensitivity import (
-    TargetMismatch,
-    reduced_adjoint_gradient,
-    surrogate_objective,
+from .rom import (
+    ButcherTableau,
+    LatentBlowupError,
+    LatentModel,
+    StepOperator,
+    predict_full,
 )
+from .sensitivity import TargetMismatch, surrogate_objective
 from .weakform import build_test_functions, sindy_fit, wendy_fit
 
 __all__ = [
@@ -95,6 +99,12 @@ REPORT_HEADER = [
     "n_func",
     "n_grad",
 ]
+
+_MINIMIZERS = {
+    "bfgs": bfgs_minimize,
+    "nelder_mead": nelder_mead_minimize,
+    "de": differential_evolution,
+}
 
 
 @dataclass
@@ -148,6 +158,14 @@ class ExperimentConfig:
             raise ValueError(f"unknown identification {self.identification!r}")
         if (self.reducer_energy is None) == (self.reducer_latent_dim is None):
             raise ValueError("set exactly one of reducer_energy/reducer_latent_dim")
+        for name, opts in self.optimizers.items():
+            if name not in _MINIMIZERS:
+                raise ValueError(f"unknown optimizer {name!r}")
+            accepted = set(inspect.signature(_MINIMIZERS[name]).parameters) - {"problem"}
+            if not set(opts) <= accepted:
+                raise ValueError(
+                    f"unknown {name} options: {sorted(set(opts) - accepted)}"
+                )
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -225,6 +243,24 @@ def _write_atomically(snap: SnapshotMatrix, path: Path) -> None:
             leftover.unlink(missing_ok=True)
 
 
+def _read_cached(cfg: ExperimentConfig, mu: np.ndarray, path: Path) -> SnapshotMatrix:
+    """A cached trajectory, checked against the request its file name hashes."""
+    snap = wio.read_snapshot(path)
+    if (
+        snap.mu is None
+        or not np.array_equal(snap.mu, mu)
+        or snap.grid != cfg.burgers.grid
+        or snap.data.shape[1] != cfg.burgers.n_points
+    ):
+        mu_stored = None if snap.mu is None else snap.mu.tolist()
+        raise wio.ConsistencyError(
+            f"{path}: cached trajectory is for mu={mu_stored}, {snap.grid}, "
+            f"{snap.data.shape[1]} points; requested mu={mu.tolist()}, "
+            f"{cfg.burgers.grid}, {cfg.burgers.n_points} points"
+        )
+    return snap
+
+
 def _solve_or_load(cfg: ExperimentConfig, mus, cache_dir: Path | None):
     """Trajectories for ``mus``: cache hits are read, the misses are solved
     as one batch and cached."""
@@ -232,7 +268,9 @@ def _solve_or_load(cfg: ExperimentConfig, mus, cache_dir: Path | None):
     if cache_dir is None:
         return fom_solve_batch(mus, cfg.burgers)
     paths = [cache_dir / f"fom_{_fom_cache_key(cfg, mu)}.bin" for mu in mus]
-    snaps = [wio.read_snapshot(p) if p.exists() else None for p in paths]
+    snaps = [
+        _read_cached(cfg, mu, p) if p.exists() else None for mu, p in zip(mus, paths)
+    ]
     misses = [k for k, snap in enumerate(snaps) if snap is None]
     if misses:
         cache_dir.mkdir(parents=True, exist_ok=True)
@@ -357,11 +395,11 @@ def _burgers_latent_model(
 def surrogate_problem(
     model: LatentModel, target: np.ndarray, cfg: ExperimentConfig
 ) -> OptProblem:
-    objective = TargetMismatch(target)
+    evaluate = surrogate_objective(model, TargetMismatch(target))
     return OptProblem(
         domain=cfg.domain,
-        evaluate=surrogate_objective(model, objective),
-        gradient=lambda mu: reduced_adjoint_gradient(model, mu, objective).gradient,
+        evaluate=evaluate,
+        gradient=evaluate.gradient,
         x0=cfg.domain.center(),
     )
 
@@ -372,15 +410,10 @@ def optimize_surrogate(
     cfg: ExperimentConfig,
     optimizer: str = "bfgs",
 ) -> OptResult:
+    if optimizer not in _MINIMIZERS:
+        raise ValueError(f"unknown optimizer {optimizer!r}")
     problem = surrogate_problem(model, target, cfg)
-    opts = dict(cfg.optimizers.get(optimizer, {}))
-    if optimizer == "bfgs":
-        return bfgs_minimize(problem, **opts)
-    if optimizer == "nelder_mead":
-        return nelder_mead_minimize(problem, **opts)
-    if optimizer == "de":
-        return differential_evolution(problem, **opts)
-    raise ValueError(f"unknown optimizer {optimizer!r}")
+    return _MINIMIZERS[optimizer](problem, **cfg.optimizers.get(optimizer, {}))
 
 
 def evaluate_recovery(
@@ -446,19 +479,31 @@ def _bench_row(cfg, target, cache_dir, noise_ratio, method, optimizer, res, trai
         "opt_s": res.wall_seconds,
         "n_func": res.n_func,
         "n_grad": res.n_grad,
+        "stop_reason": res.stop_reason,
         "mu_hat": list(res.mu_hat),
     }
 
 
+# Numerical failures a bench cell records and skips; any other exception is
+# a defect and ends the run.
+_CELL_FAILURES = (
+    LatentBlowupError,
+    NewtonConvergenceError,
+    np.linalg.LinAlgError,
+    FloatingPointError,
+)
+
+
 def _bench_cell_rows(cfg, snapshots, target, noise_ratio, noise_seed, cache_dir):
-    """One noise level's cells; failures are recorded per cell and skipped."""
+    """One noise level's cells; numerical failures are recorded per cell and
+    skipped."""
     rows, errors = [], []
     for method, identification in (("wlasdi", "weak"), ("lasdi", "strong")):
         try:
             trained = train_surrogate(
                 cfg, snapshots, noise_ratio, noise_seed, identification=identification
             )
-        except Exception as exc:
+        except _CELL_FAILURES as exc:
             errors.append(
                 {"noise": noise_ratio, "method": method,
                  "error": f"train: {type(exc).__name__}: {exc}"}
@@ -471,7 +516,7 @@ def _bench_cell_rows(cfg, snapshots, target, noise_ratio, noise_seed, cache_dir)
                     _bench_row(cfg, target, cache_dir, noise_ratio, method,
                                optimizer, res, trained.train_seconds)
                 )
-            except Exception as exc:
+            except _CELL_FAILURES as exc:
                 errors.append(
                     {"noise": noise_ratio, "method": method, "optimizer": optimizer,
                      "error": f"{type(exc).__name__}: {exc}"}
@@ -486,7 +531,7 @@ def _bench_cell_rows(cfg, snapshots, target, noise_ratio, noise_seed, cache_dir)
             _bench_row(cfg, target, cache_dir, noise_ratio, "rbf-objective",
                        "nelder_mead", res, train_s)
         )
-    except Exception as exc:
+    except _CELL_FAILURES as exc:
         errors.append(
             {"noise": noise_ratio, "method": "rbf-objective",
              "error": f"{type(exc).__name__}: {exc}"}
@@ -589,13 +634,18 @@ def save_model(trained: TrainedSurrogate, cfg: ExperimentConfig, out_dir) -> Non
 
 def _train_stats(trained: TrainedSurrogate, cfg: ExperimentConfig) -> dict:
     """Training wall time and, for a degree-1 model, the spectrum of its
-    RK step map at the domain centre; warns when that map grows states."""
+    RK step map at the domain centre; warns when that map grows states.
+    When the step map does not depend on mu, also the bound
+    max_n ||S^n||_inf that ``StepOperator.propagator`` certifies the
+    final-time objective with."""
     stats = {"train_seconds": trained.train_seconds}
     model = trained.model
     mu = cfg.domain.center()
     op = StepOperator(model, model.provider.coefficients(mu))
     if op.affine:
         stats.update(op.spectrum())
+        if not model.provider.parameter_dependent:
+            stats["max_step_power_norm"] = op.propagator()[1]
         radius = stats["step_spectral_radius"]
         if radius > 1.0:
             warnings.warn(

@@ -213,6 +213,7 @@ class StepOperator:
             step, tangent = _stage_recursion(
                 model, np.eye(d + 1), None if dh is None else np.zeros_like(dh), field
             )
+            self._affine_step = step
             self.matrix = step[:d, :d]
             self.offset = step[:d, d]
             self._dmatrix = None if tangent is None else tangent[:, :d, :d]
@@ -267,6 +268,32 @@ class StepOperator:
         if bad.size:
             raise LatentBlowupError(int(bad[0]) + 1, float(norms[bad[0]]))
         return out
+
+    def propagator(self):
+        """(S^N, max_{n<=N} ||S^n||_inf) for the affine step S = [M m; 0 1]
+        over the grid's N steps.
+
+        z_N = P z_0 + p for [P p; 0 1] = S^N. The norm bounds every state of
+        every trajectory: |z_n|_inf <= ||S^n||_inf max(1, |z_0|_inf). The
+        powers come from batched doubling: with S^0..S^k known,
+        S^{k+i} = S^i S^k for i = 1..min(k, N-k), so about log2(N) batched
+        products build all of them.
+        """
+        if not self.affine:
+            raise ValueError("the step propagator needs a degree-1 library")
+        steps = self.model.grid.steps
+        pw = np.empty((steps + 1,) + self._affine_step.shape)
+        pw[0] = np.eye(self._affine_step.shape[0])
+        pw[1] = self._affine_step
+        k = 1
+        with np.errstate(over="ignore", invalid="ignore"):
+            while k < steps:
+                j = min(k, steps - k)
+                np.matmul(pw[1 : 1 + j], pw[k], out=pw[k + 1 : k + 1 + j])
+                k += j
+            bound = float(np.max(np.sum(np.abs(pw), axis=-1)))
+        # Powers that overflow (inf, then inf * 0 = nan) are unbounded.
+        return pw[steps].copy(), np.inf if np.isnan(bound) else bound
 
     def spectrum(self) -> dict:
         """Spectral radius of M and max Re(eig(A)) of an affine step."""

@@ -18,6 +18,11 @@ Objectives are pluggable through three methods (duck typed):
     mu_gradient(mu)         -> the explicit df/dmu term
 
 The built-in TargetMismatch is f = ||u_N - target||_2^2.
+
+``SurrogateObjective`` is what the optimizers call. For a step map that
+does not depend on mu and an objective active only at the final level, it
+evaluates f and its gradient through the final-time propagator S^N with no
+time loop; everywhere else it runs the trajectory and the adjoint sweep.
 """
 from __future__ import annotations
 
@@ -26,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rom import (
+    _BLOWUP_FACTOR,
     LatentModel,
     StepOperator,
     integrate_latent,
@@ -39,6 +45,7 @@ __all__ = [
     "reduced_direct_gradient",
     "reduced_adjoint_gradient",
     "fd_gradient",
+    "SurrogateObjective",
     "surrogate_objective",
 ]
 
@@ -160,14 +167,78 @@ def reduced_adjoint_gradient(model: LatentModel, mu, objective) -> GradientResul
     )
 
 
-def surrogate_objective(model: LatentModel, objective):
-    """Scalar callable mu -> f(decode(z_N(mu))) for optimizers and FD checks."""
+class SurrogateObjective:
+    """mu -> f(decode(z_N(mu))) and its gradient, for optimizers and FD checks.
 
-    def evaluate(mu) -> float:
-        z = integrate_latent(model, np.asarray(mu, dtype=float))
-        return objective.value(model.decode_state(z[-1]))
+    When the step map does not depend on mu (degree-1 library and a
+    constant W) and f is active only at the final level N, the final state
+    is z_N = P z_0(mu) + p with [P p; 0 1] = S^N (``StepOperator.propagator``,
+    built on the first call). Then f is one encode, one matvec and one
+    decode, and the gradient is df/dmu + row_N P dz_0/dmu. That path is
+    taken only if c = max_n ||S^n||_inf is at most half the blow-up factor:
+    then no state of any trajectory can leave the guard band
+    ``_BLOWUP_FACTOR * max(1, |z_0|_inf)`` (the half leaves room for the
+    roundoff of the stepped trajectory). Otherwise, and for every other
+    model or objective, f integrates the trajectory and the gradient runs
+    the adjoint sweep, so a blow-up raises ``LatentBlowupError`` at the same
+    step as ``integrate_latent``.
+    """
 
-    return evaluate
+    def __init__(self, model: LatentModel, objective):
+        self.model = model
+        self.objective = objective
+        n_steps = model.grid.steps
+        self._final_time = (
+            model.library.degree == 1
+            and not model.provider.parameter_dependent
+            and tuple(objective.active_indices(n_steps)) == (n_steps,)
+        )
+        self._final_map = None
+
+    def _final_state(self, mu: np.ndarray):
+        """z_N from the propagator, or None where the sweeps must run."""
+        if not self._final_time:
+            return None
+        z0 = latent_initial(self.model, mu)
+        if not np.all(np.isfinite(z0)):
+            return None
+        if self._final_map is None:
+            op = StepOperator(self.model, self.model.provider.coefficients(mu))
+            power, bound = op.propagator()
+            if not bound <= 0.5 * _BLOWUP_FACTOR:
+                self._final_time = False
+                return None
+            d = self.model.state_dim
+            self._final_map = (power[:d, :d], power[:d, d])
+        p_mat, p_vec = self._final_map
+        return p_mat @ z0 + p_vec
+
+    def __call__(self, mu) -> float:
+        mu = np.asarray(mu, dtype=float)
+        z_final = self._final_state(mu)
+        if z_final is None:
+            z_final = integrate_latent(self.model, mu)[-1]
+        return self.objective.value(self.model.decode_state(z_final))
+
+    def gradient(self, mu) -> np.ndarray:
+        mu = np.asarray(mu, dtype=float)
+        model, objective = self.model, self.objective
+        z_final = self._final_state(mu)
+        if z_final is None:
+            return reduced_adjoint_gradient(model, mu, objective).gradient
+        n_steps = model.grid.steps
+        u_final = model.decode_state(z_final)
+        row = model.output_pullback(objective.state_gradient(n_steps, u_final))
+        grad = np.asarray(objective.mu_gradient(mu), dtype=float) + (
+            row @ self._final_map[0]
+        ) @ latent_initial_sensitivity(model, mu)
+        # GradientResult rejects a non-finite gradient, as the sweeps do.
+        return GradientResult(objective.value(u_final), grad, "final_time").gradient
+
+
+def surrogate_objective(model: LatentModel, objective) -> SurrogateObjective:
+    """Scalar callable mu -> f(decode(z_N(mu))), with ``.gradient(mu)``."""
+    return SurrogateObjective(model, objective)
 
 
 def fd_gradient(evaluate, mu, h: float = 1e-6) -> GradientResult:

@@ -5,6 +5,7 @@ import pytest
 
 from wlasdi import io as wio
 from wlasdi.cli import main
+from wlasdi.pipeline import ExperimentConfig, _fom_cache_key, training_parameters
 
 TINY = {
     "burgers": {
@@ -106,6 +107,23 @@ class TestTrainPredictOptimize:
         report = json.loads((trained_dir / "optimize_result.json").read_text())
         assert set(report) >= {"mu_hat", "E2_percent", "f_true", "n_func", "n_grad"}
         assert len(report["mu_hat"]) == 4
+        assert report["stop_reason"] in ("gradient", "line_search", "max_iter")
+        assert report["converged"] == (report["stop_reason"] == "gradient")
+
+    def test_stale_cached_target_is_a_usage_error(
+        self, tiny_config_path, trained_dir, capsys
+    ):
+        # the target's cache key holds a training trajectory
+        cfg = ExperimentConfig.from_dict(TINY)
+        cache = trained_dir / "snapshots"
+        stale = cache / f"fom_{_fom_cache_key(cfg, training_parameters(cfg)[0])}.bin"
+        target = cache / f"fom_{_fom_cache_key(cfg, cfg.target_mu)}.bin"
+        for src, dst in ((stale, target),
+                         (wio.sidecar_path(stale), wio.sidecar_path(target))):
+            dst.write_bytes(src.read_bytes())
+        assert run(["--config", tiny_config_path, "--out", str(trained_dir),
+                    "optimize", "--model", str(trained_dir / "model")]) == 1
+        assert "cached trajectory is for mu=" in capsys.readouterr().err
 
 
 class TestBenchAndGradcheck:
@@ -136,6 +154,12 @@ class TestExitCodes:
         path = tmp_path / "bad.json"
         path.write_text("{\"nope\": 1}")
         assert run(["--config", str(path), "--out", str(tmp_path), "fom-run"]) == 1
+
+    def test_unknown_optimizer_option_is_one(self, tmp_path):
+        cfg = dict(TINY, optimizers={"nelder_mead": {"no_such_option": 1}})
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        assert run(["--config", str(path), "--out", str(tmp_path), "bench"]) == 1
 
     def test_missing_config_file_is_one(self, tmp_path):
         assert run(["--config", str(tmp_path / "absent.json"),

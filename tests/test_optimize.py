@@ -226,3 +226,37 @@ class TestOptProblem:
         dom = ParameterDomain([0.0, 2.0], [1.0, 4.0])
         problem = OptProblem(dom, lambda x: 0.0)
         assert_allclose(problem.x0, [0.5, 3.0])
+
+
+class TestStopReason:
+    """Every optimizer says why it stopped; ``converged`` follows from it."""
+
+    def test_bfgs_gradient(self):
+        res = bfgs_minimize(quadratic_problem(np.array([0.3, -0.5, 1.0, 0.2])))
+        assert (res.stop_reason, res.converged) == ("gradient", True)
+
+    def test_bfgs_line_search(self):
+        dom = ParameterDomain([-2.0] * 4, [2.0] * 4)
+        problem = OptProblem(dom, lambda x: 1e8, lambda x: np.full(4, 1e-3))
+        res = bfgs_minimize(problem)
+        assert (res.stop_reason, res.converged) == ("line_search", False)
+
+    def test_bfgs_max_iter(self):
+        dom = ParameterDomain([-2.0, -2.0], [2.0, 2.0])
+        problem = OptProblem(dom, rosenbrock, rosenbrock_grad, x0=np.array([-1.2, 1.0]))
+        res = bfgs_minimize(problem, max_iter=3)
+        assert (res.stop_reason, res.converged) == ("max_iter", False)
+
+    def test_nelder_mead_tolerance_and_max_iter(self):
+        dom = ParameterDomain([-2.0, -2.0], [2.0, 2.0])
+        problem = OptProblem(dom, rosenbrock, x0=np.array([-1.0, 1.0]))
+        res = nelder_mead_minimize(problem, tol=1e-6, max_iter=2000)
+        assert (res.stop_reason, res.converged) == ("tolerance", True)
+        res = nelder_mead_minimize(problem, tol=1e-16, max_iter=5)
+        assert (res.stop_reason, res.converged) == ("max_iter", False)
+
+    def test_differential_evolution_max_gen(self):
+        dom = ParameterDomain([-1.0, -1.0], [1.0, 1.0])
+        problem = OptProblem(dom, lambda x: float(np.sum(np.asarray(x) ** 2)))
+        res = differential_evolution(problem, pop=6, seed=0, max_gen=3)
+        assert res.stop_reason == "max_gen"

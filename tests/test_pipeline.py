@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import shutil
 import warnings
 
 import numpy as np
@@ -26,7 +27,7 @@ from wlasdi import pipeline
 from wlasdi.burgers import BurgersConfig, fom_solve
 from wlasdi.core import TimeGrid
 from wlasdi.providers import ImplicitCoefficients
-from wlasdi.rom import StepOperator, predict_full
+from wlasdi.rom import LatentBlowupError, StepOperator, predict_full
 
 
 def tiny_config(**overrides) -> ExperimentConfig:
@@ -91,6 +92,17 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown config keys"):
             ExperimentConfig.from_dict({"not_a_key": 1})
 
+    @pytest.mark.parametrize(
+        "optimizers, message",
+        [({"lbfgs": {}}, "unknown optimizer 'lbfgs'"),
+         ({"nelder_mead": {"no_such_option": 1}}, r"unknown nelder_mead options: \['no_such_option'\]"),
+         ({"de": {"problem": None}}, "unknown de options")],
+    )
+    def test_unknown_optimizer_options_rejected(self, optimizers, message):
+        # a bench cell no longer records a TypeError, so the config says it
+        with pytest.raises(ValueError, match=message):
+            tiny_config(optimizers=optimizers)
+
     def test_target_must_be_inside_domain(self):
         with pytest.raises(ValueError):
             ExperimentConfig(target_mu=np.array([0.1, 1.0, 0.8, 1.0]))
@@ -106,6 +118,34 @@ class TestConfig:
 
 
 class TestTrainingData:
+    def test_stale_cache_hit_is_refused(self, tiny_setup, tmp_path):
+        # a trajectory filed under another mu's key is not returned for it
+        cfg, _, _, cache = tiny_setup
+        stale = tmp_path / "cache"
+        stale.mkdir()
+        mus = training_parameters(cfg)
+        src = cache / f"fom_{pipeline._fom_cache_key(cfg, mus[0])}.bin"
+        dst = stale / f"fom_{pipeline._fom_cache_key(cfg, mus[1])}.bin"
+        shutil.copy(src, dst)
+        shutil.copy(wio.sidecar_path(src), wio.sidecar_path(dst))
+        with pytest.raises(wio.ConsistencyError, match="cached trajectory"):
+            evaluate_recovery(cfg, mus[1], np.zeros(200), stale)
+        # the same file under its own key is a valid hit
+        evaluate_recovery(cfg, mus[0], np.zeros(200), cache)
+
+    def test_cache_hit_from_another_grid_is_refused(self, tiny_setup, tmp_path):
+        cfg, _, _, _ = tiny_setup
+        stale = tmp_path / "cache"
+        stale.mkdir()
+        mu = cfg.target_mu
+        coarse = dataclasses.replace(
+            cfg.burgers, grid=TimeGrid(cfg.burgers.grid.t_final, 30)
+        )
+        dst = stale / f"fom_{pipeline._fom_cache_key(cfg, mu)}.bin"
+        wio.write_snapshot(fom_solve(mu, coarse), dst)
+        with pytest.raises(wio.ConsistencyError, match="cached trajectory"):
+            compute_target(cfg, stale)
+
     def test_shapes_and_cache(self, tiny_setup, tmp_path):
         cfg, snaps, _, _ = tiny_setup
         assert len(snaps) == 16
@@ -233,13 +273,28 @@ class TestTrainSurrogate:
             save_model(trained, cfg, tmp_path / "model")
         stats = json.loads((tmp_path / "model" / "train_stats.json").read_text())
         model = trained.model
-        m = StepOperator(model, model.provider.coefficients(cfg.domain.center())).matrix
+        op = StepOperator(model, model.provider.coefficients(cfg.domain.center()))
         assert stats["step_spectral_radius"] == pytest.approx(
-            np.max(np.abs(np.linalg.eigvals(m))), rel=1e-12
+            np.max(np.abs(np.linalg.eigvals(op.matrix))), rel=1e-12
         )
         assert np.isfinite(stats["max_real_eig"])
+        assert stats["max_step_power_norm"] == op.propagator()[1]
+        assert 1.0 <= stats["max_step_power_norm"] < 1e6
         manifest = json.loads((tmp_path / "model" / "model.json").read_text())
         assert "step_spectral_radius" not in manifest
+        assert "max_step_power_norm" not in manifest
+
+    def test_train_stats_omit_power_norm_for_mu_dependent_steps(
+        self, tiny_setup, tmp_path
+    ):
+        cfg, snaps, _, _ = tiny_setup
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            trained = train_surrogate(cfg, snaps, provider="rbf")
+            save_model(trained, cfg, tmp_path / "model")
+        stats = json.loads((tmp_path / "model" / "train_stats.json").read_text())
+        assert "step_spectral_radius" in stats
+        assert "max_step_power_norm" not in stats
 
     def test_growing_step_map_warns(self, tiny_setup, tmp_path):
         cfg, snaps, _, _ = tiny_setup
@@ -287,22 +342,48 @@ class TestBench:
         report = (tmp_path / "bench" / "report.csv").read_text().strip()
         assert report == ",".join(REPORT_HEADER)
 
-    def test_cell_failures_recorded_and_run_continues(self, tmp_path):
-        # break the derivative-free optimizer config: its cells fail and
-        # are logged per cell while the gradient-based cells still report
+    def test_cell_failures_recorded_and_run_continues(self, tmp_path, monkeypatch):
+        # a numerical failure in the derivative-free optimizer: its cells
+        # fail and are logged per cell while the gradient-based cells report
+        def blow_up(problem, **opts):
+            raise LatentBlowupError(3, 1e9)
+
+        monkeypatch.setattr(pipeline, "nelder_mead_minimize", blow_up)
+        monkeypatch.setitem(pipeline._MINIMIZERS, "nelder_mead", blow_up)
         cfg = tiny_config(
             noise_ratios=[0.0],
-            optimizers={
-                "bfgs": {"grad_tol": 1e-6, "max_iter": 40},
-                "nelder_mead": {"no_such_option": 1},
-            },
+            optimizers={"bfgs": {"grad_tol": 1e-6, "max_iter": 40}},
         )
         rows = run_bench(cfg, tmp_path / "bench")
         assert {r["optimizer"] for r in rows} == {"bfgs"}
         assert len(rows) == 2  # wlasdi + lasdi gradient cells
         meta = json.loads((tmp_path / "bench" / "run_meta.json").read_text())
         assert len(meta["errors"]) == 3  # two simplex cells + the baseline
-        assert all("TypeError" in e["error"] for e in meta["errors"])
+        assert all("LatentBlowupError" in e["error"] for e in meta["errors"])
+
+    @pytest.mark.parametrize(
+        "error", [LatentBlowupError(3, 1e9), np.linalg.LinAlgError("singular"),
+                  FloatingPointError("overflow")],
+    )
+    def test_numerical_optimizer_failure_is_recorded(self, tmp_path, monkeypatch, error):
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(pipeline, "optimize_surrogate", fail)
+        rows = run_bench(tiny_config(noise_ratios=[0.0]), tmp_path / "bench")
+        assert [r["method"] for r in rows] == ["rbf-objective"]
+        meta = json.loads((tmp_path / "bench" / "run_meta.json").read_text())
+        assert len(meta["errors"]) == 4  # two methods x two optimizers
+        assert all(type(error).__name__ in e["error"] for e in meta["errors"])
+
+    def test_programming_error_propagates(self, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("unexpected keyword argument")
+
+        monkeypatch.setattr(pipeline, "optimize_surrogate", broken)
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            run_bench(tiny_config(noise_ratios=[0.0]), tmp_path / "bench")
+        assert not (tmp_path / "bench" / "report.csv").exists()
 
     def test_single_noise_cell_matrix(self, tmp_path):
         cfg = tiny_config(noise_ratios=[0.0])
@@ -322,6 +403,9 @@ class TestBench:
         assert (tmp_path / "bench" / "target.bin").exists()
         for row in rows:
             assert np.isfinite(row["E2_percent"])
+        assert [r["stop_reason"] for r in meta["rows"]] == [r["stop_reason"] for r in rows]
+        assert {r["stop_reason"] for r in rows} <= {"gradient", "line_search",
+                                                    "max_iter", "tolerance"}
 
     def test_overlays_reuse_cached_solves(self, tmp_path, monkeypatch):
         # every trajectory solved is of a new mu and lands in the cache: the

@@ -182,6 +182,41 @@ class TestStepOperator:
         assert exc.value.step == step
         assert exc.value.norm == pytest.approx(norm, rel=1e-12)
 
+    @pytest.mark.parametrize("steps", [1, 2, 7, 40])
+    @pytest.mark.parametrize("kind", ["global", "implicit"])
+    def test_propagator_is_last_power_and_bounds_all(self, kind, steps):
+        model = toy_model(provider_kind=kind, degree=1, n_steps=steps, seed=11)
+        op = StepOperator(model, model.provider.coefficients(np.zeros(2)))
+        d = model.state_dim
+        s = np.eye(d + 1)
+        s[:d, :d], s[:d, d] = op.matrix, op.offset
+        powers = [np.linalg.matrix_power(s, n) for n in range(steps + 1)]
+        power, bound = op.propagator()
+        assert rel_err(power, powers[-1]) <= 1e-13
+        norms = [np.max(np.sum(np.abs(p), axis=1)) for p in powers]
+        assert bound == pytest.approx(max(norms), rel=1e-13)
+        # the bound covers the states of an integrated trajectory
+        mu = np.array([0.4, 0.6])
+        z = integrate_latent(model, mu)
+        z0 = np.max(np.abs(z[0]))
+        assert np.max(np.abs(z)) <= bound * max(1.0, z0) * (1 + 1e-12)
+
+    @pytest.mark.parametrize("rate", [40.0, 4000.0])
+    def test_propagator_of_growing_step(self, rate):
+        # dz/dt = rate z: ||S^n|| = R(rate dt)^n for the RK4 stability
+        # polynomial R; at rate 4000 the powers overflow and the bound is inf
+        model = identity_model(linear_w([[rate]]), TimeGrid(1.0, 200), np.ones(1))
+        _, bound = StepOperator(model, linear_w([[rate]])).propagator()
+        x = rate / 200
+        with np.errstate(over="ignore"):
+            expected = np.float64(1 + x + x**2 / 2 + x**3 / 6 + x**4 / 24) ** 200
+        assert bound == pytest.approx(expected, rel=1e-12)
+
+    def test_propagator_needs_degree_one(self):
+        model = toy_model(provider_kind="global", degree=2)
+        with pytest.raises(ValueError):
+            StepOperator(model, model.provider.coefficients(np.zeros(2))).propagator()
+
     def test_spectrum_of_scalar_decay(self):
         # RK4 on dz/dt = -z: M is the quartic stability polynomial at -dt
         w = linear_w([[-1.0]])

@@ -1,8 +1,20 @@
+import dataclasses
+import functools
+from unittest import mock
+
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from hypothesis import given, settings, strategies as st
+from numpy.testing import assert_allclose, assert_array_equal
 
-from wlasdi.rom import StepOperator, predict_full
+from wlasdi.rom import (
+    _BLOWUP_FACTOR,
+    ButcherTableau,
+    LatentBlowupError,
+    StepOperator,
+    integrate_latent,
+    predict_full,
+)
 from wlasdi.sensitivity import (
     GradientResult,
     TargetMismatch,
@@ -166,3 +178,91 @@ class TestGradientResult:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             GradientResult(1.0, np.array([np.nan]), "reduced_direct")
+
+
+@functools.lru_cache(maxsize=None)
+def final_time_case(kind, degree, tableau):
+    """A toy model and a target its trajectories do not reach."""
+    model = toy_model(provider_kind=kind, degree=degree, n_steps=40, seed=11,
+                      tableau=ButcherTableau.named(tableau))
+    u = predict_full(model, np.array([0.52, 0.48])).data[-1]
+    offset = np.random.default_rng(4).normal(size=u.size)
+    return model, TargetMismatch(u + 0.5 * np.sqrt(np.mean(u**2)) * offset)
+
+
+def no_time_loop(*args, **kwargs):
+    raise AssertionError("the final-time path stepped through time")
+
+
+mus = st.tuples(
+    st.floats(0.05, 0.95, allow_nan=False), st.floats(0.05, 0.95, allow_nan=False)
+).map(np.array)
+
+
+class TestFinalTimePropagator:
+    """Constant-W degree-1 models evaluate f and its gradient through S^N;
+    everything else keeps the trajectory and the adjoint sweep."""
+
+    @pytest.mark.parametrize("tableau", ["euler", "heun", "rk4"])
+    @pytest.mark.parametrize("kind", ["global", "implicit"])
+    @settings(max_examples=15, deadline=None)
+    @given(mu=mus)
+    def test_matches_adjoint_sweep(self, kind, tableau, mu):
+        model, objective = final_time_case(kind, 1, tableau)
+        ref = reduced_adjoint_gradient(model, mu, objective)
+        evaluate = surrogate_objective(model, objective)
+        with mock.patch.object(StepOperator, "trajectory", no_time_loop):
+            f, g = evaluate(mu), evaluate.gradient(mu)
+        assert abs(f - ref.value) <= 1e-11 * abs(ref.value)
+        assert rel_diff(g, ref.gradient) <= 1e-11
+
+    @pytest.mark.parametrize(
+        "kind, degree",
+        [("rbf", 1), ("gp", 1), ("convex", 1), ("rbf", 2), ("gp", 2),
+         ("convex", 2), ("global", 2), ("implicit", 2)],
+    )
+    @settings(max_examples=5, deadline=None)
+    @given(mu=mus)
+    def test_other_models_keep_the_sweeps(self, kind, degree, mu):
+        model, objective = final_time_case(kind, degree, "rk4")
+        evaluate = surrogate_objective(model, objective)
+        z = integrate_latent(model, mu)
+        assert evaluate(mu) == objective.value(model.decode_state(z[-1]))
+        assert_array_equal(
+            evaluate.gradient(mu), reduced_adjoint_gradient(model, mu, objective).gradient
+        )
+
+    def test_objective_active_before_the_end_keeps_the_sweeps(self):
+        model, objective = final_time_case("global", 1, "rk4")
+        n = model.grid.steps
+
+        class TwoLevels(TargetMismatch):
+            def active_indices(self, n_steps):
+                return (n_steps // 2, n_steps)
+
+        two = TwoLevels(objective.target)
+        mu = np.array([0.3, 0.6])
+        evaluate = surrogate_objective(model, two)
+        z = integrate_latent(model, mu)
+        assert evaluate(mu) == two.value(model.decode_state(z[n]))
+        assert_array_equal(
+            evaluate.gradient(mu), reduced_adjoint_gradient(model, mu, two).gradient
+        )
+
+    @pytest.mark.parametrize("kind", ["global", "implicit"])
+    def test_blowup_as_loud_as_integration(self, kind):
+        # dz/dt gains +30 z: the powers of S exceed the guard factor and the
+        # trajectory leaves the guard band, at the same step on every path
+        model, objective = final_time_case(kind, 1, "rk4")
+        w = model.provider.coefficients(np.zeros(2)).copy()
+        w[1 : 1 + model.state_dim] += 30.0 * np.eye(model.state_dim)
+        model = dataclasses.replace(model, provider=type(model.provider)(w))
+        assert StepOperator(model, w).propagator()[1] > _BLOWUP_FACTOR
+        mu = np.array([0.4, 0.6])
+        with pytest.raises(LatentBlowupError) as ref:
+            integrate_latent(model, mu)
+        evaluate = surrogate_objective(model, objective)
+        for call in (evaluate, evaluate.gradient):
+            with pytest.raises(LatentBlowupError) as exc:
+                call(mu)
+            assert (exc.value.step, exc.value.norm) == (ref.value.step, ref.value.norm)
