@@ -34,6 +34,7 @@ discrete objective and must agree to roundoff.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,19 +103,38 @@ class BurgersConfig:
         return self.x_min + self.dx * np.arange(self.n_points)
 
 
+@functools.lru_cache(maxsize=8)
+def _pulse_exponents(cfg: BurgersConfig) -> np.ndarray:
+    """-(x - c_k)^2 on the mesh for the two pulse centers, (2, n_points),
+    read-only; computed once per configuration."""
+    exponents = -((cfg.mesh() - np.array(_PULSE_CENTERS)[:, None]) ** 2)
+    exponents.flags.writeable = False
+    return exponents
+
+
 def initial_condition(mu, cfg: BurgersConfig) -> np.ndarray:
-    """Two-pulse profile g(mu) sampled on the periodic mesh."""
-    mu = as_vector(mu, "mu")
-    if mu.size != 4:
-        raise ValueError("expected mu = [a1, w1, a2, w2]")
-    a1, w1, a2, w2 = mu
-    if w1 <= 0.0 or w2 <= 0.0:
+    """Two-pulse profile g(mu) sampled on the periodic mesh.
+
+    ``mu`` is one parameter vector (4,) or a block of them (m, 4), which
+    gives the profiles as rows (m, n_points), each bit-equal to its single
+    call. Every row is validated.
+    """
+    mu = np.asarray(mu, dtype=float)
+    if mu.ndim not in (1, 2) or mu.shape[-1] != 4:
+        raise ValueError("expected mu = [a1, w1, a2, w2], or rows of them")
+    if not np.isfinite(mu).all():
+        raise ValueError("mu entries must be finite")
+    rows = np.atleast_2d(mu)
+    widths = rows[:, 1::2].tolist()
+    if any(w <= 0.0 for pair in widths for w in pair):
         raise ValueError("pulse widths must be positive")
-    x = cfg.mesh()
-    c1, c2 = _PULSE_CENTERS
-    return a1 * np.exp(-((x - c1) ** 2) / (2.0 * w1**2)) + a2 * np.exp(
-        -((x - c2) ** 2) / (2.0 * w2**2)
-    )
+    # Widths are squared by the C library's pow, as float64 scalars square;
+    # an array's ** multiplies, which differs from it in the last bit for
+    # some widths. Axes (row, pulse, point).
+    var = 2.0 * np.array([[w**2 for w in pair] for pair in widths])[..., None]
+    g = rows[:, 0::2, None] * np.exp(_pulse_exponents(cfg) / var)
+    g = g[:, 0] + g[:, 1]
+    return g if mu.ndim == 2 else g[0]
 
 
 def initial_condition_gradient(mu, i: int, cfg: BurgersConfig) -> np.ndarray:
@@ -259,8 +279,7 @@ def fom_solve_batch(mus, cfg: BurgersConfig) -> list[SnapshotMatrix]:
     if not mus:
         return []
     states = np.empty((len(mus), cfg.grid.steps + 1, cfg.n_points))
-    for k, mu in enumerate(mus):
-        states[k, 0] = initial_condition(mu, cfg)
+    states[:, 0] = initial_condition(np.stack(mus), cfg)
     for n in range(1, cfg.grid.steps + 1):
         states[:, n] = _newton(states[:, n - 1], cfg, n, mus)
     return [SnapshotMatrix(s, cfg.grid, mu) for s, mu in zip(states, mus)]
@@ -275,11 +294,35 @@ def _objective(u_final: np.ndarray, target: np.ndarray) -> float:
     return float(np.sum((u_final - target) ** 2))
 
 
-def fom_gradient_direct(mu, cfg: BurgersConfig, target) -> GradientResult:
-    """Forward sensitivity propagation of df/dmu for f = ||u_N - target||^2."""
+def _trajectory(mu: np.ndarray, cfg: BurgersConfig, traj) -> SnapshotMatrix:
+    """``traj`` if it is the solve at (mu, cfg), or a new solve if it is None."""
+    if traj is None:
+        return fom_solve(mu, cfg)
+    if (
+        traj.mu is None
+        or not np.array_equal(traj.mu, mu)
+        or traj.grid != cfg.grid
+        or traj.data.shape != (cfg.grid.steps + 1, cfg.n_points)
+    ):
+        mu_stored = None if traj.mu is None else traj.mu.tolist()
+        raise ValueError(
+            f"trajectory is for mu={mu_stored}, {traj.grid}, shape {traj.data.shape}; "
+            f"requested mu={mu.tolist()}, {cfg.grid}, {cfg.n_points} points"
+        )
+    return traj
+
+
+def fom_gradient_direct(
+    mu, cfg: BurgersConfig, target, traj: SnapshotMatrix | None = None
+) -> GradientResult:
+    """Forward sensitivity propagation of df/dmu for f = ||u_N - target||^2.
+
+    ``traj`` is the trajectory ``fom_solve(mu, cfg)`` if the caller has it
+    already; it is solved otherwise.
+    """
     mu = as_vector(mu, "mu")
     target = as_vector(target, "target")
-    traj = fom_solve(mu, cfg)
+    traj = _trajectory(mu, cfg, traj)
     n_steps = cfg.grid.steps
 
     # du_0/dmu columns; the n = 0 residual Jacobian is the identity.
@@ -301,11 +344,14 @@ def fom_gradient_direct(mu, cfg: BurgersConfig, target) -> GradientResult:
     )
 
 
-def fom_gradient_adjoint(mu, cfg: BurgersConfig, target) -> GradientResult:
-    """Backward adjoint recursion for the same discrete objective."""
+def fom_gradient_adjoint(
+    mu, cfg: BurgersConfig, target, traj: SnapshotMatrix | None = None
+) -> GradientResult:
+    """Backward adjoint recursion for the same discrete objective; ``traj``
+    as in ``fom_gradient_direct``."""
     mu = as_vector(mu, "mu")
     target = as_vector(target, "target")
-    traj = fom_solve(mu, cfg)
+    traj = _trajectory(mu, cfg, traj)
     n_steps = cfg.grid.steps
 
     dfdu = 2.0 * (traj.data[-1] - target)

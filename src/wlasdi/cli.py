@@ -163,8 +163,9 @@ def cmd_gradcheck(cfg: ExperimentConfig, args) -> int:
     )
     target = fom_solve(np.array([0.75, 1.05, 0.85, 0.95]), coarse).final_state()
     mu = np.array([0.8, 1.0, 0.8, 1.0])
-    fom_d = fom_gradient_direct(mu, coarse, target)
-    fom_a = fom_gradient_adjoint(mu, coarse, target)
+    traj = fom_solve(mu, coarse)
+    fom_d = fom_gradient_direct(mu, coarse, target, traj)
+    fom_a = fom_gradient_adjoint(mu, coarse, target, traj)
     fom_fd = fd_gradient(
         lambda m: float(np.sum((fom_solve(m, coarse).final_state() - target) ** 2)),
         mu,
@@ -191,7 +192,7 @@ def cmd_gradcheck(cfg: ExperimentConfig, args) -> int:
         library=lib,
         provider=provider,
         grid=TimeGrid(1.0, 40),
-        initial_state=lambda m: a_map @ np.tanh(m),
+        initial_state=lambda m: np.tanh(m) @ a_map.T,
         initial_state_gradient=lambda m, i: a_map[:, i] * (1 - np.tanh(m[i]) ** 2),
     )
     objective = TargetMismatch(rom_predict(model, np.array([0.5, 0.5])).data[-1])

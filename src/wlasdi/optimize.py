@@ -35,6 +35,10 @@ class OptProblem:
     evaluate: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray] | None = None
     x0: np.ndarray | None = None
+    # f at each row of a block (m, n) -> (m,), equal to ``evaluate`` row by
+    # row up to roundoff; optimizers that evaluate blocks fall back to
+    # ``evaluate`` when it is None.
+    evaluate_many: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         if self.x0 is None:
@@ -270,33 +274,59 @@ def differential_evolution(
     seed: int = 0,
     max_gen: int = 100,
 ) -> OptResult:
-    """DE/rand/1/bin with bound clipping; bit-deterministic for a fixed seed."""
+    """DE/current-to-best/1/bin with bound clipping and generation-synchronous
+    updates.
+
+    Member i's mutant is x_i + F (x_best - x_i) + F (x_r1 - x_r2), clipped
+    to the box, with x_best the best member of the previous generation and
+    r1, r2 distinct and other than i (SciPy's ``currenttobest1bin``). Every
+    trial of a generation is built from the previous generation's
+    population, as in SciPy's ``updating="deferred"``. The donors, the
+    crossover mask and the forced component j_rand are drawn for the whole
+    population at once, and each generation is one call of
+    ``problem.evaluate_many`` (``problem.evaluate`` row by row if that is
+    None). A trial replaces its target if it is no worse. ``n_func`` counts
+    rows, pop * (max_gen + 1). Bit-deterministic for a fixed seed.
+    """
     if pop < 4:
         raise ValueError("population must be >= 4")
+    if not 0.0 < f_weight <= 2.0:
+        raise ValueError(f"f_weight must be in (0, 2], got {f_weight}")
+    if not 0.0 <= crossover <= 1.0:
+        raise ValueError(f"crossover must be in [0, 1], got {crossover}")
+    if max_gen < 0:
+        raise ValueError(f"max_gen must be >= 0, got {max_gen}")
     t0 = time.perf_counter()
-    fn = _Counted(problem.evaluate)
     dom = problem.domain
     rng = np.random.default_rng(seed)
     n = problem.x0.size
+    rows = np.arange(pop)
+
+    def evaluate(block):
+        if problem.evaluate_many is None:
+            return np.array([problem.evaluate(x) for x in block], dtype=float)
+        return np.asarray(problem.evaluate_many(block), dtype=float).reshape(pop)
 
     population = dom.sample(rng, pop)
     population[0] = problem.x0
-    values = np.array([fn(x) for x in population])
+    values = evaluate(population)
 
     trace = []
     for _ in range(max_gen):
-        for i in range(pop):
-            choices = [j for j in range(pop) if j != i]
-            r1, r2, r3 = rng.choice(choices, size=3, replace=False)
-            mutant = population[r1] + f_weight * (population[r2] - population[r3])
-            mutant = dom.clamp(mutant)
-            mask = rng.random(n) < crossover
-            mask[rng.integers(n)] = True
-            trial = np.where(mask, mutant, population[i])
-            f_trial = fn(trial)
-            if f_trial <= values[i]:
-                population[i] = trial
-                values[i] = f_trial
+        # Each row's first two in a random order of the other members.
+        keys = rng.random((pop, pop))
+        keys[rows, rows] = np.inf
+        r1, r2 = np.argsort(keys, axis=1)[:, :2].T
+        x_best = population[np.argmin(values)]
+        mutants = population + f_weight * (x_best - population + population[r1] - population[r2])
+        mutants = np.clip(mutants, dom.lower, dom.upper)
+        mask = rng.random((pop, n)) < crossover
+        mask[rows, rng.integers(n, size=pop)] = True
+        trials = np.where(mask, mutants, population)
+        f_trials = evaluate(trials)
+        better = f_trials <= values
+        population[better] = trials[better]
+        values[better] = f_trials[better]
         gen_best = int(np.argmin(values))
         trace.append((population[gen_best].copy(), float(values[gen_best])))
 
@@ -304,7 +334,7 @@ def differential_evolution(
     return OptResult(
         mu_hat=dom.clamp(population[best]),
         f_hat=float(values[best]),
-        n_func=fn.calls,
+        n_func=pop * (max_gen + 1),
         n_grad=0,
         wall_seconds=time.perf_counter() - t0,
         converged=True,

@@ -401,6 +401,7 @@ def surrogate_problem(
         evaluate=evaluate,
         gradient=evaluate.gradient,
         x0=cfg.domain.center(),
+        evaluate_many=evaluate.values,
     )
 
 

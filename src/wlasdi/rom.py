@@ -111,9 +111,10 @@ class ButcherTableau:
 class LatentModel:
     """Everything needed to predict full states from a parameter vector.
 
-    ``initial_state`` maps mu to the full-order initial condition g(mu) and
-    ``initial_state_gradient`` to its analytic partials dg/dmu_i, decoupling
-    the latent machinery from any particular full-order model.
+    ``initial_state`` maps mu to the full-order initial condition g(mu), and
+    a block of parameter rows (m, n_mu) to the rows g(mu_k) (m, n_state);
+    ``initial_state_gradient`` maps mu to the analytic partials dg/dmu_i.
+    This decouples the latent machinery from any particular full-order model.
     """
 
     reducer: LinearReducer
@@ -161,11 +162,14 @@ class LatentModel:
 
 
 def latent_initial(model: LatentModel, mu) -> np.ndarray:
-    """Encoded initial condition, with mu appended in the augmented case."""
+    """Encoded initial condition, with mu appended in the augmented case.
+
+    A block of parameter rows (m, n_mu) gives the rows (m, state_dim).
+    """
     mu = np.asarray(mu, dtype=float)
     z0 = model.reducer.encode(model.initial_state(mu))
     if model.augmented:
-        return np.concatenate([z0, mu])
+        return np.concatenate([z0, mu], axis=-1)
     return z0
 
 

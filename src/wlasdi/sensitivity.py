@@ -11,18 +11,23 @@ contract stays visible. Both sweeps take the step partials from one
 ``rom.StepOperator``; for a degree-1 library dz_n/dz_{n-1} = M is one
 constant matrix and both sweeps are constant-matrix recursions.
 
-Objectives are pluggable through three methods (duck typed):
+Objectives are pluggable through these methods (duck typed):
 
     active_indices(n_steps) -> iterable of time levels with df/du_n != 0
     state_gradient(n, u_n)  -> row vector df/du_n at an active level
     mu_gradient(mu)         -> the explicit df/dmu term
+    value(u_N)              -> f at the final state (``SurrogateObjective``)
+    values(U_N)             -> optional: f at each row of a block of final
+                               states (m, n_state); ``value`` row by row
+                               stands in for it when it is missing
 
 The built-in TargetMismatch is f = ||u_N - target||_2^2.
 
 ``SurrogateObjective`` is what the optimizers call. For a step map that
 does not depend on mu and an objective active only at the final level, it
 evaluates f and its gradient through the final-time propagator S^N with no
-time loop; everywhere else it runs the trajectory and the adjoint sweep.
+time loop, and f for a whole block of parameters with one product;
+everywhere else it runs the trajectory and the adjoint sweep.
 """
 from __future__ import annotations
 
@@ -78,6 +83,10 @@ class TargetMismatch:
 
     def value(self, u_final: np.ndarray) -> float:
         return float(np.sum((u_final - self.target) ** 2))
+
+    def values(self, u_final: np.ndarray) -> np.ndarray:
+        """f for each row of a block of final states (m, n_state)."""
+        return np.sum((u_final - self.target) ** 2, axis=1)
 
     def active_indices(self, n_steps: int):
         return (n_steps,)
@@ -182,6 +191,9 @@ class SurrogateObjective:
     model or objective, f integrates the trajectory and the gradient runs
     the adjoint sweep, so a blow-up raises ``LatentBlowupError`` at the same
     step as ``integrate_latent``.
+
+    ``values(mus)`` evaluates f for a block of parameter rows; on the
+    propagator path the block costs one encode, one product and one decode.
     """
 
     def __init__(self, model: LatentModel, objective):
@@ -195,13 +207,8 @@ class SurrogateObjective:
         )
         self._final_map = None
 
-    def _final_state(self, mu: np.ndarray):
-        """z_N from the propagator, or None where the sweeps must run."""
-        if not self._final_time:
-            return None
-        z0 = latent_initial(self.model, mu)
-        if not np.all(np.isfinite(z0)):
-            return None
+    def _propagator(self, mu: np.ndarray):
+        """(P, p), built on first use, or None if the certificate fails."""
         if self._final_map is None:
             op = StepOperator(self.model, self.model.provider.coefficients(mu))
             power, bound = op.propagator()
@@ -210,7 +217,19 @@ class SurrogateObjective:
                 return None
             d = self.model.state_dim
             self._final_map = (power[:d, :d], power[:d, d])
-        p_mat, p_vec = self._final_map
+        return self._final_map
+
+    def _final_state(self, mu: np.ndarray):
+        """z_N from the propagator, or None where the sweeps must run."""
+        if not self._final_time:
+            return None
+        z0 = latent_initial(self.model, mu)
+        if not np.all(np.isfinite(z0)):
+            return None
+        final_map = self._propagator(mu)
+        if final_map is None:
+            return None
+        p_mat, p_vec = final_map
         return p_mat @ z0 + p_vec
 
     def __call__(self, mu) -> float:
@@ -219,6 +238,39 @@ class SurrogateObjective:
         if z_final is None:
             z_final = integrate_latent(self.model, mu)[-1]
         return self.objective.value(self.model.decode_state(z_final))
+
+    def values(self, mus) -> np.ndarray:
+        """f at each row of ``mus`` (m, n_mu), shape (m,).
+
+        On the propagator path the block is one encode, one product
+        Z_0 P^T + p, one decode and the objective's row-wise ``values``
+        (its ``value`` per row if it has none); each entry agrees with
+        ``__call__`` to roundoff. Every other model, and every row whose z_0
+        is not finite, is evaluated row by row by ``__call__``, so a
+        blow-up raises ``LatentBlowupError`` with the step and norm of the
+        scalar call.
+        """
+        mus = np.asarray(mus, dtype=float)
+        if mus.ndim != 2:
+            raise ValueError(f"expected a block of parameter rows, got shape {mus.shape}")
+        out = np.empty(len(mus))
+        stepped = range(len(mus))
+        if self._final_time and len(mus):
+            z0 = latent_initial(self.model, mus)
+            finite = np.all(np.isfinite(z0), axis=1)
+            final_map = self._propagator(mus[0]) if finite.any() else None
+            if final_map is not None:
+                p_mat, p_vec = final_map
+                u_final = self.model.decode_state(z0[finite] @ p_mat.T + p_vec)
+                score = getattr(self.objective, "values", None)
+                if score is None:
+                    out[finite] = [self.objective.value(u) for u in u_final]
+                else:
+                    out[finite] = score(u_final)
+                stepped = np.flatnonzero(~finite)
+        for k in stepped:
+            out[k] = self(mus[k])
+        return out
 
     def gradient(self, mu) -> np.ndarray:
         mu = np.asarray(mu, dtype=float)
@@ -237,7 +289,8 @@ class SurrogateObjective:
 
 
 def surrogate_objective(model: LatentModel, objective) -> SurrogateObjective:
-    """Scalar callable mu -> f(decode(z_N(mu))), with ``.gradient(mu)``."""
+    """Scalar callable mu -> f(decode(z_N(mu))), with ``.gradient(mu)`` and
+    the block evaluation ``.values(mus)``."""
     return SurrogateObjective(model, objective)
 
 

@@ -17,8 +17,9 @@ from wlasdi.rom import ButcherTableau, LatentModel
 def identity_model(w, grid, z0, tableau=None, degree=1):
     """Latent model over R^d with an identity encoder and fixed coefficients.
 
-    The initial condition is the constant z0 regardless of mu, so only the
-    latent integration machinery is exercised.
+    The initial condition is the constant z0 regardless of mu (one row per
+    row of a parameter block), so only the latent integration machinery is
+    exercised.
     """
     w = np.asarray(w, dtype=float)
     d = w.shape[1]
@@ -29,7 +30,7 @@ def identity_model(w, grid, z0, tableau=None, degree=1):
         library=lib,
         provider=GlobalCoefficients(w),
         grid=grid,
-        initial_state=lambda mu: z0.copy(),
+        initial_state=lambda mu: np.broadcast_to(z0, np.shape(mu)[:-1] + (d,)).copy(),
         initial_state_gradient=lambda mu, i: np.zeros(d),
         tableau=tableau or ButcherTableau.rk4(),
     )
@@ -57,14 +58,18 @@ def reference_rk_step(model, w, z):
 
 
 def smooth_initial_map(n_state, n_mu, seed=0):
-    """A smooth synthetic g(mu) with its analytic partial derivatives."""
+    """A smooth synthetic g(mu) with its analytic partial derivatives.
+
+    g maps one parameter vector, or a block of them as rows, like
+    ``LatentModel.initial_state``.
+    """
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(n_state, n_mu)) / np.sqrt(n_mu)
     b = rng.normal(size=(n_mu, n_mu))
     base = rng.normal(size=n_state) * 0.1
 
     def g(mu):
-        return base + a @ np.tanh(b @ np.asarray(mu, float))
+        return base + np.tanh(np.asarray(mu, float) @ b.T) @ a.T
 
     def dg(mu, i):
         h = b @ np.asarray(mu, float)

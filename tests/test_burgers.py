@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -69,6 +71,38 @@ class TestInitialCondition:
     def test_nonpositive_width_rejected(self):
         with pytest.raises(ValueError):
             initial_condition([0.5, -1.0, 0.5, 1.0], coarse_config())
+
+    def test_block_rows_equal_single_calls(self):
+        cfg = BurgersConfig(dx=0.05)
+        rng = np.random.default_rng(5)
+        mus = rng.uniform([0.0, 0.5, 0.0, 0.5], [1.0, 1.5, 1.0, 1.5], size=(400, 4))
+        # widths whose squares by pow and by multiplication round apart
+        mus[0, 1], mus[1, 3] = 0.91996, 0.50904
+        assert all(w**2 != w * w for w in (0.91996, 0.50904))
+        block = initial_condition(mus, cfg)
+        assert block.shape == (400, cfg.n_points)
+        x = cfg.mesh()
+        for mu, row in zip(mus, block):
+            assert_array_equal(row, initial_condition(mu, cfg))
+            # the profile as float64 scalars compute it, which the cached
+            # snapshots and their keys were made with
+            a1, w1, a2, w2 = mu
+            pulses = a1 * np.exp(-((x - 5.0) ** 2) / (2.0 * w1**2)) + a2 * np.exp(
+                -((x + 5.0) ** 2) / (2.0 * w2**2)
+            )
+            assert_array_equal(row, pulses)
+
+    @pytest.mark.parametrize("column", [1, 3])
+    def test_nonpositive_width_in_any_row_rejected(self, column):
+        mus = np.tile([0.5, 1.0, 0.5, 1.0], (3, 1))
+        mus[2, column] = 0.0
+        with pytest.raises(ValueError, match="widths must be positive"):
+            initial_condition(mus, coarse_config())
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 5), (1, 2, 4)])
+    def test_bad_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match="expected mu"):
+            initial_condition(np.ones(shape), coarse_config())
 
     def test_grid_must_close(self):
         with pytest.raises(ValueError):
@@ -339,6 +373,33 @@ class TestGradients:
             f_down = np.sum((fom_solve(down, cfg).data[-1] - target) ** 2)
             fd = (f_up - f_down) / (2 * h)
             assert abs(res.gradient[i] - fd) <= 1e-5 * abs(fd)
+
+    def test_solved_trajectory_gives_the_same_bits(self, setup):
+        cfg, target = setup
+        mu = np.array([0.8, 1.0, 0.8, 1.0])
+        traj = fom_solve(mu, cfg)
+        for gradient in (fom_gradient_direct, fom_gradient_adjoint):
+            with mock.patch("wlasdi.burgers.fom_solve", side_effect=AssertionError):
+                passed = gradient(mu, cfg, target, traj)
+            solved = gradient(mu, cfg, target)
+            assert_array_equal(passed.gradient, solved.gradient)
+            assert passed.value == solved.value
+
+    def test_mismatched_trajectory_refused(self, setup):
+        cfg, target = setup
+        mu = np.array([0.8, 1.0, 0.8, 1.0])
+        traj = fom_solve(mu, cfg)
+        finer = coarse_config(dx=0.05)
+        longer = coarse_config(grid=TimeGrid(0.3, 31))
+        cases = [
+            (mu + [0.0, 0.0, 0.0, 1e-12], cfg, target),
+            (mu, finer, np.zeros(finer.n_points)),
+            (mu, longer, target),
+        ]
+        for gradient in (fom_gradient_direct, fom_gradient_adjoint):
+            for other_mu, other_cfg, other_target in cases:
+                with pytest.raises(ValueError, match="trajectory is for"):
+                    gradient(other_mu, other_cfg, other_target, traj)
 
     def test_solve_counters(self, setup):
         cfg, target = setup

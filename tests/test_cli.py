@@ -110,6 +110,19 @@ class TestTrainPredictOptimize:
         assert report["stop_reason"] in ("gradient", "line_search", "max_iter")
         assert report["converged"] == (report["stop_reason"] == "gradient")
 
+    @pytest.mark.parametrize(
+        "option", [{"crossover": 1.5}, {"f_weight": 0.0}, {"max_gen": -1}]
+    )
+    def test_bad_de_option_is_a_usage_error(
+        self, trained_dir, tmp_path, option, capsys
+    ):
+        cfg = dict(TINY, optimizers={"de": dict(TINY["optimizers"]["de"], **option)})
+        path = tmp_path / "bad_de.json"
+        path.write_text(json.dumps(cfg))
+        assert run(["--config", str(path), "--out", str(trained_dir), "optimize",
+                    "--model", str(trained_dir / "model"), "--optimizer", "de"]) == 1
+        assert next(iter(option)) in capsys.readouterr().err
+
     def test_stale_cached_target_is_a_usage_error(
         self, tiny_config_path, trained_dir, capsys
     ):

@@ -182,6 +182,73 @@ class TestDifferentialEvolution:
         with pytest.raises(ValueError):
             differential_evolution(problem, pop=3)
 
+    def test_each_generation_is_one_block(self):
+        dom = ParameterDomain([-3.0, -3.0, -3.0], [3.0, 3.0, 3.0])
+        blocks = []
+
+        def evaluate_many(block):
+            blocks.append(block.shape)
+            return np.array([rosenbrock(x) for x in block])
+
+        problem = OptProblem(dom, rosenbrock, evaluate_many=evaluate_many)
+        res = differential_evolution(problem, pop=9, seed=2, max_gen=12)
+        assert blocks == [(9, 3)] * 13
+        assert res.n_func == 9 * 13
+
+    def test_mutants_are_current_to_best(self):
+        # crossover 1: every trial is its member's mutant, the box clip of
+        # x_i + F (x_best - x_i + x_r1 - x_r2), r1 != r2, both other than i
+        dom = ParameterDomain([-3.0, -3.0], [3.0, 3.0])
+        blocks = []
+
+        def evaluate_many(block):
+            blocks.append(block.copy())
+            return np.array([rosenbrock(x) for x in block])
+
+        problem = OptProblem(dom, rosenbrock, evaluate_many=evaluate_many)
+        differential_evolution(problem, pop=6, f_weight=0.6, crossover=1.0, seed=4, max_gen=1)
+        population, trials = blocks
+        best = population[np.argmin([rosenbrock(x) for x in population])]
+        for i, trial in enumerate(trials):
+            others = [j for j in range(6) if j != i]
+            candidates = np.clip([
+                population[i] + 0.6 * (best - population[i] + population[a] - population[b])
+                for a in others for b in others if a != b
+            ], dom.lower, dom.upper)
+            assert np.min(np.abs(candidates - trial).max(axis=1)) <= 1e-12
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_block_and_row_evaluation_agree(self, seed):
+        dom = ParameterDomain([-3.0, -3.0], [3.0, 3.0])
+        rows = OptProblem(dom, rosenbrock)
+        block = OptProblem(
+            dom, lambda x: np.nan, evaluate_many=lambda b: np.array([rosenbrock(x) for x in b])
+        )
+        a = differential_evolution(rows, pop=10, seed=seed, max_gen=30)
+        b = differential_evolution(block, pop=10, seed=seed, max_gen=30)
+        assert_array_equal(a.mu_hat, b.mu_hat)
+        assert a.f_hat == b.f_hat
+        assert a.n_func == b.n_func == 310
+
+    @pytest.mark.parametrize(
+        "option, match",
+        [({"crossover": -0.1}, "crossover"), ({"crossover": 1.01}, "crossover"),
+         ({"f_weight": 0.0}, "f_weight"), ({"f_weight": 2.5}, "f_weight"),
+         ({"max_gen": -1}, "max_gen")],
+    )
+    def test_bad_options_rejected(self, option, match):
+        problem = OptProblem(ParameterDomain([-1.0], [1.0]), lambda x: float(x[0] ** 2))
+        with pytest.raises(ValueError, match=match):
+            differential_evolution(problem, **option)
+
+    def test_zero_generations_scores_the_initial_population(self):
+        dom = ParameterDomain([-1.0, -1.0], [1.0, 1.0])
+        problem = OptProblem(dom, lambda x: float(np.sum(np.asarray(x) ** 2)),
+                             x0=np.array([0.1, 0.0]))
+        res = differential_evolution(problem, pop=5, seed=0, max_gen=0)
+        assert res.n_func == 5
+        assert res.f_hat <= problem.evaluate(problem.x0)
+
     def test_results_inside_domain(self):
         dom = ParameterDomain([-0.5, -0.5], [0.5, 0.5])
         problem = OptProblem(dom, lambda x: float(np.sum((np.asarray(x) - 2) ** 2)))

@@ -432,6 +432,13 @@ class TestOptimizeSurrogate:
             res = optimize_surrogate(trained.model, target, cfg, optimizer)
             assert cfg.domain.contains(res.mu_hat)
 
+    def test_problem_evaluates_blocks(self, tiny_setup):
+        cfg, snaps, target, _ = tiny_setup
+        problem = pipeline.surrogate_problem(train_surrogate(cfg, snaps).model, target, cfg)
+        block = cfg.domain.sample(np.random.default_rng(2), 6)
+        rows = [problem.evaluate(mu) for mu in block]
+        assert_allclose(problem.evaluate_many(block), rows, rtol=1e-13)
+
     def test_unknown_optimizer(self, tiny_setup):
         cfg, snaps, target, _ = tiny_setup
         trained = train_surrogate(cfg, snaps)

@@ -159,7 +159,7 @@ class TestRBF:
             library=lib,
             provider=provider,
             grid=grid,
-            initial_state=lambda mu: z0.copy(),
+            initial_state=lambda mu: np.broadcast_to(z0, np.shape(mu)[:-1] + (2,)).copy(),
             initial_state_gradient=lambda mu, i: np.zeros(2),
         )
         for (mu,), traj in zip(params, trajs):

@@ -249,6 +249,67 @@ class TestFinalTimePropagator:
             evaluate.gradient(mu), reduced_adjoint_gradient(model, mu, two).gradient
         )
 
+    @pytest.mark.parametrize("tableau", ["euler", "heun", "rk4"])
+    @pytest.mark.parametrize("kind", ["global", "implicit"])
+    @settings(max_examples=15, deadline=None)
+    @given(block=st.lists(mus, min_size=1, max_size=8).map(np.array))
+    def test_block_matches_rows(self, kind, tableau, block):
+        model, objective = final_time_case(kind, 1, tableau)
+        evaluate = surrogate_objective(model, objective)
+        with mock.patch.object(StepOperator, "trajectory", no_time_loop):
+            values = evaluate.values(block)
+            rows = np.array([evaluate(mu) for mu in block])
+        assert values.shape == (len(block),)
+        assert np.all(np.abs(values - rows) <= 1e-13 * np.abs(rows))
+
+    def test_block_scores_rows_by_value_without_values(self):
+        model, objective = final_time_case("global", 1, "rk4")
+
+        class FinalOnly:  # the objective protocol without ``values``
+            target = objective.target
+            value = TargetMismatch.value
+            active_indices = TargetMismatch.active_indices
+
+        block = np.array([[0.3, 0.6], [0.5, 0.4], [0.7, 0.2]])
+        assert not hasattr(FinalOnly(), "values")
+        values = surrogate_objective(model, FinalOnly()).values(block)
+        assert_array_equal(values, surrogate_objective(model, objective).values(block))
+
+    @pytest.mark.parametrize(
+        "kind, degree",
+        [("rbf", 1), ("gp", 1), ("convex", 1), ("rbf", 2), ("gp", 2),
+         ("convex", 2), ("global", 2), ("implicit", 2)],
+    )
+    def test_block_of_other_models_steps_each_row(self, kind, degree):
+        model, objective = final_time_case(kind, degree, "rk4")
+        block = np.random.default_rng(6).uniform(0.05, 0.95, size=(4, 2))
+        values = surrogate_objective(model, objective).values(block)
+        for mu, value in zip(block, values):
+            z = integrate_latent(model, mu)
+            assert value == objective.value(model.decode_state(z[-1]))
+
+    def test_block_row_with_non_finite_initial_state_steps(self):
+        # the propagator would return NaN for that row; stepping it raises
+        model, objective = final_time_case("global", 1, "rk4")
+        g = model.initial_state
+
+        def initial_state(mu):
+            return np.where(np.asarray(mu)[..., :1] == 0.5, np.nan, g(mu))
+
+        model = dataclasses.replace(model, initial_state=initial_state)
+        block = np.array([[0.3, 0.6], [0.5, 0.4], [0.7, 0.2]])
+        evaluate = surrogate_objective(model, objective)
+        with pytest.raises(LatentBlowupError) as ref:
+            evaluate(block[1])
+        with pytest.raises(LatentBlowupError) as exc:
+            evaluate.values(block)
+        assert exc.value.step == ref.value.step == 1
+        assert np.isnan(exc.value.norm) and np.isnan(ref.value.norm)
+        assert_allclose(
+            evaluate.values(block[[0, 2]]), [evaluate(block[0]), evaluate(block[2])],
+            rtol=1e-13,
+        )
+
     @pytest.mark.parametrize("kind", ["global", "implicit"])
     def test_blowup_as_loud_as_integration(self, kind):
         # dz/dt gains +30 z: the powers of S exceed the guard factor and the
@@ -266,3 +327,7 @@ class TestFinalTimePropagator:
             with pytest.raises(LatentBlowupError) as exc:
                 call(mu)
             assert (exc.value.step, exc.value.norm) == (ref.value.step, ref.value.norm)
+        block = np.array([mu, [0.2, 0.9]])
+        with pytest.raises(LatentBlowupError) as exc:
+            surrogate_objective(model, objective).values(block)
+        assert (exc.value.step, exc.value.norm) == (ref.value.step, ref.value.norm)
