@@ -13,17 +13,29 @@ iteration with the analytic Jacobian
 On the periodic grid this Jacobian is cyclic bidiagonal: a bidiagonal band
 B (lower for backward differences, upper for forward) plus one corner entry
 c at (p, q) = (0, n-1) or (n-1, 0). Every linear solve with it, or with its
-transpose, is one banded triangular solve (LAPACK ``dtbtrs``) on the
-right-hand sides [rhs, c e_p] followed by the Sherman-Morrison correction
+transpose, is one banded triangular solve (LAPACK ``dtbtrs``) followed by
+the Sherman-Morrison correction
 
     x = y - z * y_q / (1 + z_q),   y = B^{-1} rhs,   z = B^{-1} c e_p
 
 (Golub & Van Loan, Matrix Computations, sections 2.1.4 and 4.3), so a
-Newton iteration, a direct-sensitivity step and an adjoint step each cost
-O(n). Several trajectories advance through one Newton loop: their bands
+Newton update, a direct-sensitivity step and an adjoint step each cost
+O(n). ``_StepFactors`` holds the band, the spike z and 1 + z_q of K stacked
+states, so that each solve after it is built is one ``dtbtrs`` and the
+correction.
+
+Newton starts step 1 from u_0 and every later step from the linear
+extrapolation 2 u_{n-1} - u_{n-2} (Hairer & Wanner, Solving ODEs II,
+section IV.8); on smooth stretches of the trajectory one update then meets
+the tolerance, where a start from u_{n-1} takes two. Each iteration takes
+one difference D u and derives both the residual and the Jacobian band
+from it. Several trajectories advance through one Newton loop: their bands
 are stacked into one solve with zero coupling between the blocks, and a
 trajectory that has converged is left out of later updates, so each one is
-bit-identical to its own single solve.
+bit-identical to its own single solve. The gradient sweeps build the
+factors of all N stored states at once (one vectorised Jacobian pass and
+one stacked spike solve), which holds memory of about three trajectories
+while a gradient runs.
 
 The initial condition is two Gaussian pulses parameterized by
 mu = [a1, w1, a2, w2] (amplitudes and widths, centers fixed at x = +/-5).
@@ -140,18 +152,15 @@ def initial_condition(mu, cfg: BurgersConfig) -> np.ndarray:
 def initial_condition_gradient(mu, i: int, cfg: BurgersConfig) -> np.ndarray:
     """Analytic partial derivative of the initial profile w.r.t. mu[i]."""
     mu = as_vector(mu, "mu")
-    a1, w1, a2, w2 = mu
-    x = cfg.mesh()
-    c1, c2 = _PULSE_CENTERS
-    if i == 0:
-        return np.exp(-((x - c1) ** 2) / (2.0 * w1**2))
-    if i == 1:
-        return a1 * ((x - c1) ** 2 / w1**3) * np.exp(-((x - c1) ** 2) / (2.0 * w1**2))
-    if i == 2:
-        return np.exp(-((x - c2) ** 2) / (2.0 * w2**2))
-    if i == 3:
-        return a2 * ((x - c2) ** 2 / w2**3) * np.exp(-((x - c2) ** 2) / (2.0 * w2**2))
-    raise IndexError(f"parameter index {i} out of range for 4 parameters")
+    if i not in range(4):
+        raise IndexError(f"parameter index {i} out of range for 4 parameters")
+    k = i // 2  # mu[i] belongs to pulse k: amplitude mu[2k], width mu[2k+1]
+    exponent = _pulse_exponents(cfg)[k]  # -(x - c_k)^2
+    amplitude, width = mu[2 * k], mu[2 * k + 1]
+    pulse = np.exp(exponent / (2.0 * width**2))
+    if i == 2 * k:
+        return pulse
+    return amplitude * (-exponent / width**3) * pulse
 
 
 def _difference(u: np.ndarray, cfg: BurgersConfig) -> np.ndarray:
@@ -167,77 +176,107 @@ def _difference(u: np.ndarray, cfg: BurgersConfig) -> np.ndarray:
     return d
 
 
-def _jacobian_parts(u: np.ndarray, cfg: BurgersConfig):
-    """Diagonal and off-diagonal of dr/du = I + dt*(diag(Du) + diag(u) D).
+def _jacobian_parts(u: np.ndarray, du: np.ndarray, cfg: BurgersConfig):
+    """Diagonal and off-diagonal of dr/du = I + dt*(diag(Du) + diag(u) D),
+    given ``du`` = D u.
 
     Backward differences put ``off[i]`` at (i, i-1), forward ones at
     (i, i+1); on the periodic grid one of them is the corner.
     """
     dt = cfg.grid.dt
-    du = _difference(u, cfg)
+    off = dt * u / cfg.dx
     if cfg.upwind == "forward":
-        off = dt * u / cfg.dx
         return 1.0 + dt * du - off, off
-    return 1.0 + dt * du + dt * u / cfg.dx, -dt * u / cfg.dx
+    return 1.0 + dt * du + off, -off
 
 
-def _cyclic_solve(u, cfg: BurgersConfig, rhs, trans: bool = False) -> np.ndarray:
-    """Solve J x = rhs (J^T x = rhs if ``trans``), J the step Jacobian at u.
+class _StepFactors:
+    """Solves with the step Jacobians J_k = dr/du at K stacked states u
+    (K, n), or with their transposes if ``trans``.
 
-    ``u`` is one state (n,) or K states (K, n); ``rhs`` has K*n rows in any
-    shape, e.g. (K, n) or (n, m), and the solution comes back in that shape.
-    The K systems are one ``dtbtrs`` call on their stacked bands. A state
-    whose band has an exactly zero pivot gets a NaN block.
+    Built once, it holds the LAPACK band of the K bidiagonal parts B_k
+    (zero coupling between the blocks), the Sherman-Morrison spikes
+    z_k = B_k^{-1} c_k e_p from one stacked solve, and 1 + z_q. A solve is
+    then one ``dtbtrs`` and the correction. A state whose band has an
+    exactly zero pivot solves to a NaN block. ``du`` is D u if the caller
+    has it.
     """
-    u = np.atleast_2d(u)
-    k, n = u.shape
-    diag, off = _jacobian_parts(u, cfg)
-    singular = ~diag.all(axis=1)
-    if singular.any():
-        diag[singular] = 1.0  # solve the other blocks; these become NaN below
-    # LAPACK band storage, kd = 1: the diagonal, and J[j+1, j] (lower) or
-    # J[j-1, j] (upper) at column j; 0 where column j crosses into the next
-    # block, so the stacked systems do not couple.
-    band = np.zeros((k, n))
-    ab = np.empty((2, k * n), order="F")
-    if cfg.upwind == "backward":
-        band[:, :-1] = off[:, 1:]
-        ab[0], ab[1] = diag.ravel(), band.ravel()
-        uplo, p, q = "L", 0, n - 1
-    else:
-        band[:, 1:] = off[:, :-1]
-        ab[0], ab[1] = band.ravel(), diag.ravel()
-        uplo, p, q = "U", n - 1, 0
-    corner = off[:, p]  # J = B + c e_p e_q^T, and J^T = B^T + c e_q e_p^T
-    if trans:
-        p, q = q, p
-    m = rhs.size // (k * n)
-    b = np.zeros((k * n, m + 1), order="F")
-    b[:, :m] = rhs.reshape(k * n, m)
-    b[p::n, m] = corner
-    x, info = dtbtrs(ab, b, uplo=uplo, trans="T" if trans else "N", overwrite_b=1)
-    if info != 0:
-        raise ValueError(f"dtbtrs rejected argument {-info}")
-    x = x.reshape(k, n, m + 1)
-    y, z = x[..., :m], x[..., m:]
-    sol = y - z * (y[:, q : q + 1] / (1.0 + z[:, q : q + 1]))
-    sol[singular] = np.nan
-    return sol.reshape(rhs.shape)
+
+    def __init__(self, u, cfg: BurgersConfig, trans: bool = False, du=None):
+        u = np.atleast_2d(u)
+        k, n = u.shape
+        diag, off = _jacobian_parts(u, _difference(u, cfg) if du is None else du, cfg)
+        self.singular = ~diag.all(axis=1)
+        diag[self.singular] = 1.0  # solve the other blocks; these become NaN
+        # LAPACK band storage, kd = 1: the diagonal, and J[j+1, j] (lower) or
+        # J[j-1, j] (upper) at column j; 0 where column j crosses into the
+        # next block, so the stacked systems do not couple. Axes of the view
+        # ``band``: (row of ab, state, point).
+        self.ab = np.empty((2, k * n), order="F")
+        band = self.ab.reshape(2, k, n)
+        if cfg.upwind == "backward":
+            band[0], band[1, :, :-1], band[1, :, -1] = diag, off[:, 1:], 0.0
+            self.uplo, p, q = "L", 0, n - 1
+        else:
+            band[1], band[0, :, 1:], band[0, :, 0] = diag, off[:, :-1], 0.0
+            self.uplo, p, q = "U", n - 1, 0
+        corner = off[:, p]  # J = B + c e_p e_q^T, and J^T = B^T + c e_q e_p^T
+        if trans:
+            p, q = q, p
+        self.trans, self.q = "T" if trans else "N", q
+        spike = np.zeros((k, n))
+        spike[:, p] = corner
+        self.z = self._tbtrs(self.ab, spike.reshape(k * n, 1)).reshape(k, n)
+        self.denom = 1.0 + self.z[:, q]
+
+    def _tbtrs(self, ab, b):
+        x, info = dtbtrs(ab, b, uplo=self.uplo, trans=self.trans, overwrite_b=1)
+        if info != 0:
+            raise ValueError(f"dtbtrs rejected argument {-info}")
+        return x
+
+    def solve(self, rhs, state: int | None = None) -> np.ndarray:
+        """x with J x = rhs for every state, or for ``state`` alone.
+
+        ``rhs`` has K*n rows (n for one state) in any shape, e.g. (K, n) or
+        (n, m), and the solution comes back in that shape. It is solved in
+        place, without a copy, when its rows are Fortran-contiguous, so the
+        caller's ``rhs`` may be overwritten.
+        """
+        n = self.z.shape[1]
+        rows = slice(None) if state is None else slice(state, state + 1)
+        ab = self.ab if state is None else self.ab[:, state * n : (state + 1) * n]
+        z, denom = self.z[rows], self.denom[rows]
+        y = self._tbtrs(ab, rhs.reshape(len(z) * n, -1)).reshape(len(z), n, -1)
+        q = self.q
+        y -= z[..., None] * (y[:, q : q + 1] / denom[:, None, None])
+        y[self.singular[rows]] = np.nan
+        return y.reshape(rhs.shape)
 
 
-def residual(u_next: np.ndarray, u_prev: np.ndarray, cfg: BurgersConfig) -> np.ndarray:
-    return u_next - u_prev + cfg.grid.dt * u_next * _difference(u_next, cfg)
+def residual(
+    u_next: np.ndarray, u_prev: np.ndarray, cfg: BurgersConfig, du=None
+) -> np.ndarray:
+    """r_n(u_next) for the step from u_prev; ``du`` is D u_next if known."""
+    if du is None:
+        du = _difference(u_next, cfg)
+    return u_next - u_prev + cfg.grid.dt * u_next * du
 
 
-def _newton(u_prev: np.ndarray, cfg: BurgersConfig, step: int, mus=None) -> np.ndarray:
-    """One backward-Euler step of the K states ``u_prev`` (K, n) by Newton.
+def _newton(
+    u_prev: np.ndarray, u_start: np.ndarray, cfg: BurgersConfig, step: int, mus=None
+) -> np.ndarray:
+    """One backward-Euler step of the K states ``u_prev`` (K, n) by Newton,
+    starting from ``u_start``.
 
-    A state leaves the iteration once its residual meets the tolerance. The
-    first state whose residual or update is not finite, or that has not
-    converged after ``newton_max_iter`` updates, raises
-    NewtonConvergenceError with its own iteration count and residual.
+    Each iteration takes one difference D u and derives both the residual
+    and the Jacobian band from it. A state leaves the iteration once its
+    residual meets the tolerance. The first state whose residual or update
+    is not finite, or that has not converged after ``newton_max_iter``
+    updates, raises NewtonConvergenceError with its own iteration count and
+    residual.
     """
-    u = np.array(u_prev, dtype=float)
+    u = np.array(u_start, dtype=float)
     active = np.arange(len(u))
 
     def fail(it, rnorm, bad):
@@ -247,17 +286,18 @@ def _newton(u_prev: np.ndarray, cfg: BurgersConfig, step: int, mus=None) -> np.n
 
     for it in range(cfg.newton_max_iter + 1):
         ua = u[active]
-        r = residual(ua, u_prev[active], cfg)
+        du = _difference(ua, cfg)
+        r = residual(ua, u_prev[active], cfg, du)
         rnorm = np.max(np.abs(r), axis=1)
         pending = rnorm > cfg.newton_tol
         bad = ~np.isfinite(rnorm) | (pending & (it == cfg.newton_max_iter))
         if bad.any():
             raise fail(it, rnorm, bad)
+        if not pending.any():
+            return u
         if not pending.all():
-            active, ua, r, rnorm = active[pending], ua[pending], r[pending], rnorm[pending]
-            if active.size == 0:
-                return u
-        delta = _cyclic_solve(ua, cfg, r)
+            active, ua, du, r, rnorm = (a[pending] for a in (active, ua, du, r, rnorm))
+        delta = _StepFactors(ua, cfg, du=du).solve(r)
         bad = ~np.isfinite(delta).all(axis=1)
         if bad.any():
             raise fail(it, rnorm, bad)
@@ -266,14 +306,18 @@ def _newton(u_prev: np.ndarray, cfg: BurgersConfig, step: int, mus=None) -> np.n
 
 
 def fom_step(u_prev: np.ndarray, cfg: BurgersConfig, step: int = 0) -> np.ndarray:
-    """Advance one backward-Euler step by Newton iteration on the residual."""
-    return _newton(np.asarray(u_prev, dtype=float)[None], cfg, step)[0]
+    """Advance one backward-Euler step by Newton iteration on the residual,
+    starting from ``u_prev``."""
+    u_prev = np.asarray(u_prev, dtype=float)[None]
+    return _newton(u_prev, u_prev, cfg, step)[0]
 
 
 def fom_solve_batch(mus, cfg: BurgersConfig) -> list[SnapshotMatrix]:
     """Trajectories for several parameters, advanced through one Newton loop.
 
-    Each is bit-identical to the single solve ``fom_solve(mu, cfg)``.
+    Newton starts step 1 from u_0 and every later step n from the linear
+    extrapolation 2 u_{n-1} - u_{n-2} of the trajectory's own states. Each
+    trajectory is bit-identical to the single solve ``fom_solve(mu, cfg)``.
     """
     mus = [as_vector(mu, "mu") for mu in mus]
     if not mus:
@@ -281,7 +325,8 @@ def fom_solve_batch(mus, cfg: BurgersConfig) -> list[SnapshotMatrix]:
     states = np.empty((len(mus), cfg.grid.steps + 1, cfg.n_points))
     states[:, 0] = initial_condition(np.stack(mus), cfg)
     for n in range(1, cfg.grid.steps + 1):
-        states[:, n] = _newton(states[:, n - 1], cfg, n, mus)
+        start = states[:, 0] if n == 1 else 2.0 * states[:, n - 1] - states[:, n - 2]
+        states[:, n] = _newton(states[:, n - 1], start, cfg, n, mus)
     return [SnapshotMatrix(s, cfg.grid, mu) for s, mu in zip(states, mus)]
 
 
@@ -325,14 +370,15 @@ def fom_gradient_direct(
     traj = _trajectory(mu, cfg, traj)
     n_steps = cfg.grid.steps
 
-    # du_0/dmu columns; the n = 0 residual Jacobian is the identity.
-    sens = np.column_stack(
-        [initial_condition_gradient(mu, i, cfg) for i in range(mu.size)]
+    # du_0/dmu columns, Fortran-ordered so that each step solves them in
+    # place; the n = 0 residual Jacobian is the identity.
+    sens = np.asfortranarray(
+        np.column_stack([initial_condition_gradient(mu, i, cfg) for i in range(mu.size)])
     )
-    n_solves = mu.size
-    for n in range(1, n_steps + 1):
-        sens = _cyclic_solve(traj.data[n], cfg, sens)
-        n_solves += mu.size
+    factors = _StepFactors(traj.data[1:], cfg)
+    for n in range(n_steps):
+        sens = factors.solve(sens, n)
+    n_solves = mu.size * (n_steps + 1)
     dfdu = 2.0 * (traj.data[-1] - target)
     grad = dfdu @ sens
     return GradientResult(
@@ -355,18 +401,14 @@ def fom_gradient_adjoint(
     n_steps = cfg.grid.steps
 
     dfdu = 2.0 * (traj.data[-1] - target)
-    lam = _cyclic_solve(traj.data[-1], cfg, dfdu, trans=True)
-    n_solves = 1
+    factors = _StepFactors(traj.data[1:], cfg, trans=True)
     # Only the one-step back-coupling dr_{n+1}/du_n = -I is nonzero, so
-    # lambda_n solves J_n^T lambda_n = lambda_{n+1}.
-    for n in range(n_steps - 1, 0, -1):
-        lam = _cyclic_solve(traj.data[n], cfg, lam, trans=True)
-        n_solves += 1
-    lam0 = lam  # dr_0/du_0 = I
-    n_solves += 1
-    grad = np.array(
-        [lam0 @ initial_condition_gradient(mu, i, cfg) for i in range(mu.size)]
-    )
+    # lambda_n solves J_n^T lambda_n = lambda_{n+1}, from J_N^T lambda_N = dfdu.
+    lam = dfdu
+    for n in range(n_steps - 1, -1, -1):
+        lam = factors.solve(lam, n)
+    n_solves = n_steps + 1  # and dr_0/du_0 = I gives lambda_0 = lambda_1
+    grad = np.array([lam @ initial_condition_gradient(mu, i, cfg) for i in range(mu.size)])
     return GradientResult(
         value=_objective(traj.data[-1], target),
         gradient=grad,

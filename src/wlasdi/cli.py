@@ -144,6 +144,7 @@ def cmd_gradcheck(cfg: ExperimentConfig, args) -> int:
         BurgersConfig,
         fom_gradient_adjoint,
         fom_gradient_direct,
+        fom_solve_batch,
     )
     from .core import TimeGrid
     from .sensitivity import (
@@ -167,8 +168,10 @@ def cmd_gradcheck(cfg: ExperimentConfig, args) -> int:
     fom_d = fom_gradient_direct(mu, coarse, target, traj)
     fom_a = fom_gradient_adjoint(mu, coarse, target, traj)
     fom_fd = fd_gradient(
-        lambda m: float(np.sum((fom_solve(m, coarse).final_state() - target) ** 2)),
+        lambda mus: [float(np.sum((s.final_state() - target) ** 2))
+                     for s in fom_solve_batch(mus, coarse)],
         mu,
+        block=True,
     )
     checks = [
         ("fom direct vs adjoint", rel(fom_d.gradient, fom_a.gradient), 1e-10),

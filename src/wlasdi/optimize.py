@@ -10,6 +10,7 @@ never report a point outside the box.
 """
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import Callable
@@ -25,6 +26,7 @@ __all__ = [
     "bfgs_minimize",
     "nelder_mead_minimize",
     "differential_evolution",
+    "check_de_options",
     "rbf_objective_surrogate",
 ]
 
@@ -266,6 +268,26 @@ def nelder_mead_minimize(
     )
 
 
+# Valid values of the differential_evolution options: type, test, range.
+_DE_OPTION_RANGES = {
+    "pop": (numbers.Integral, lambda v: v >= 4, ">= 4"),
+    "f_weight": (numbers.Real, lambda v: 0.0 < v <= 2.0, "in (0, 2]"),
+    "crossover": (numbers.Real, lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
+    "max_gen": (numbers.Integral, lambda v: v >= 0, ">= 0"),
+    "seed": (numbers.Integral, lambda v: v >= 0, ">= 0"),
+}
+
+
+def check_de_options(**options) -> None:
+    """Raise ValueError if a given ``differential_evolution`` option is out
+    of its range; ``ExperimentConfig`` checks its DE options with it when it
+    loads."""
+    for name, value in options.items():
+        kind, valid, bounds = _DE_OPTION_RANGES[name]
+        if not (isinstance(value, kind) and valid(value)):
+            raise ValueError(f"DE option {name} must be {bounds}, got {value!r}")
+
+
 def differential_evolution(
     problem: OptProblem,
     pop: int = 20,
@@ -288,14 +310,9 @@ def differential_evolution(
     None). A trial replaces its target if it is no worse. ``n_func`` counts
     rows, pop * (max_gen + 1). Bit-deterministic for a fixed seed.
     """
-    if pop < 4:
-        raise ValueError("population must be >= 4")
-    if not 0.0 < f_weight <= 2.0:
-        raise ValueError(f"f_weight must be in (0, 2], got {f_weight}")
-    if not 0.0 <= crossover <= 1.0:
-        raise ValueError(f"crossover must be in [0, 1], got {crossover}")
-    if max_gen < 0:
-        raise ValueError(f"max_gen must be >= 0, got {max_gen}")
+    check_de_options(
+        pop=pop, f_weight=f_weight, crossover=crossover, max_gen=max_gen, seed=seed
+    )
     t0 = time.perf_counter()
     dom = problem.domain
     rng = np.random.default_rng(seed)

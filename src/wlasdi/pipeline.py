@@ -45,6 +45,7 @@ from .optimize import (
     OptProblem,
     OptResult,
     bfgs_minimize,
+    check_de_options,
     differential_evolution,
     nelder_mead_minimize,
     rbf_objective_surrogate,
@@ -166,6 +167,8 @@ class ExperimentConfig:
                 raise ValueError(
                     f"unknown {name} options: {sorted(set(opts) - accepted)}"
                 )
+            if name == "de":
+                check_de_options(**opts)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":

@@ -3,16 +3,17 @@
 The basis columns are the leading right singular vectors of the stacked
 snapshot matrix (rows are states). The decomposition is taken on whichever
 side is cheaper: a Gram-matrix eigendecomposition when there are more
-snapshots than state entries (method of snapshots on the state side), and
-a thin SVD otherwise. Each basis column's sign is fixed so its
-largest-magnitude entry is positive, which makes the fit deterministic
-across platforms.
+snapshots than state entries (method of snapshots on the state side; only
+the leading eigenpairs when the basis size is fixed), and a thin SVD
+otherwise. Each basis column's sign is fixed so its largest-magnitude entry
+is positive, which makes the fit deterministic across platforms.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .core import SnapshotMatrix
 from . import io as wio
@@ -28,7 +29,9 @@ class LinearReducer:
     mean: np.ndarray | None = None
 
     def __post_init__(self):
-        b = np.asarray(self.basis, dtype=float)
+        # Column-major: a state's encode runs along contiguous basis columns,
+        # and a block encoded as a stack of single rows stays cheap.
+        b = np.asfortranarray(self.basis, dtype=float)
         if b.ndim != 2:
             raise ValueError("basis must be a 2-d matrix")
         gram_err = np.max(np.abs(b.T @ b - np.eye(b.shape[1])))
@@ -128,24 +131,26 @@ def pod_fit(
         a = a - mean
 
     m, n = a.shape
+    if latent_dim is not None and not (1 <= latent_dim <= min(m, n)):
+        raise ValueError(f"latent_dim must be in [1, {min(m, n)}]")
     if m >= n:
-        # Method of snapshots on the cheaper side: eigendecompose A^T A.
+        # Method of snapshots on the cheaper side: eigendecompose A^T A,
+        # only its leading latent_dim eigenpairs when that count is fixed.
         gram = a.T @ a
-        evals, evecs = np.linalg.eigh(gram)
-        order = np.argsort(evals)[::-1]
-        sv_sq = np.clip(evals[order], 0.0, None)
-        basis_full = evecs[:, order]
+        subset = None if latent_dim is None else (n - latent_dim, n - 1)
+        evals, evecs = scipy.linalg.eigh(gram, subset_by_index=subset)
+        sv_sq = np.clip(evals[::-1], 0.0, None)
+        basis_full = evecs[:, ::-1]
+        total = float(np.trace(gram))
     else:
         _, s, vt = np.linalg.svd(a, full_matrices=False)
         sv_sq = s**2
         basis_full = vt.T
+        total = float(np.sum(sv_sq))
 
-    total = float(np.sum(sv_sq))
     if total == 0.0:
         raise ValueError("training data has zero energy")
     if latent_dim is not None:
-        if not (1 <= latent_dim <= min(m, n)):
-            raise ValueError(f"latent_dim must be in [1, {min(m, n)}]")
         k = latent_dim
     else:
         frac = np.cumsum(sv_sq) / total

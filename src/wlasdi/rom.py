@@ -164,10 +164,13 @@ class LatentModel:
 def latent_initial(model: LatentModel, mu) -> np.ndarray:
     """Encoded initial condition, with mu appended in the augmented case.
 
-    A block of parameter rows (m, n_mu) gives the rows (m, state_dim).
+    A block of parameter rows (m, n_mu) gives the rows (m, state_dim), each
+    bit-equal to its single call: the block is encoded as a stack of single
+    rows, since a matrix product rounds its rows differently from a
+    vector-matrix product and the final-time propagator amplifies that.
     """
     mu = np.asarray(mu, dtype=float)
-    z0 = model.reducer.encode(model.initial_state(mu))
+    z0 = model.reducer.encode(model.initial_state(mu)[..., None, :])[..., 0, :]
     if model.augmented:
         return np.concatenate([z0, mu], axis=-1)
     return z0

@@ -294,20 +294,25 @@ def surrogate_objective(model: LatentModel, objective) -> SurrogateObjective:
     return SurrogateObjective(model, objective)
 
 
-def fd_gradient(evaluate, mu, h: float = 1e-6) -> GradientResult:
-    """Central finite differences of a scalar evaluator (the gradient oracle)."""
+def fd_gradient(evaluate, mu, h: float = 1e-6, block: bool = False) -> GradientResult:
+    """Central finite differences of a scalar evaluator (the gradient oracle).
+
+    With ``block``, ``evaluate`` scores the rows of an (m, n) array, and mu
+    with its 2n stencil points is one call.
+    """
     if h <= 0.0:
         raise ValueError("step size must be positive")
     mu = np.asarray(mu, dtype=float)
-    grad = np.empty(mu.size)
-    for i in range(mu.size):
-        up, down = mu.copy(), mu.copy()
-        up[i] += h
-        down[i] -= h
-        grad[i] = (evaluate(up) - evaluate(down)) / (2.0 * h)
+    n = mu.size
+    steps = h * np.eye(n)
+    points = np.vstack([mu, mu + steps, mu - steps])
+    if block:
+        f = np.asarray(evaluate(points), dtype=float)
+    else:
+        f = np.array([evaluate(x) for x in points], dtype=float)
     return GradientResult(
-        value=float(evaluate(mu)),
-        gradient=grad,
+        value=float(f[0]),
+        gradient=(f[1 : n + 1] - f[n + 1 :]) / (2.0 * h),
         method="finite_difference",
-        n_residual_solves=2 * mu.size + 1,
+        n_residual_solves=2 * n + 1,
     )

@@ -18,7 +18,7 @@ from wlasdi.burgers import (
     BurgersConfig,
     fom_gradient_adjoint,
     fom_gradient_direct,
-    fom_solve,
+    fom_solve_batch,
 )
 from wlasdi.core import TimeGrid
 from wlasdi.features import FeatureLibrary
@@ -222,12 +222,12 @@ def test_criterion_5_gradient_correctness(bench, wlasdi_noise_free):
     # discretization; the FD oracle needs a Newton tolerance well below h^2
     fom_cfg = BurgersConfig(upwind="backward", newton_tol=1e-13)
     mu = np.array([0.8, 1.0, 0.8, 1.0])
-    fd_obj = lambda m: float(
-        np.sum((fom_solve(m, fom_cfg).final_state() - target) ** 2)
-    )
+    fd_obj = lambda mus: [
+        np.sum((s.final_state() - target) ** 2) for s in fom_solve_batch(mus, fom_cfg)
+    ]
     fom_d = fom_gradient_direct(mu, fom_cfg, target)
     fom_a = fom_gradient_adjoint(mu, fom_cfg, target)
-    fom_fd = fd_gradient(fd_obj, mu, h=1e-6)
+    fom_fd = fd_gradient(fd_obj, mu, h=1e-6, block=True)
     fom_cross = rel(fom_d.gradient, fom_a.gradient)
     fom_vs_fd = max(rel(fom_a.gradient, fom_fd.gradient),
                     rel(fom_d.gradient, fom_fd.gradient))

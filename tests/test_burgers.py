@@ -1,3 +1,4 @@
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -11,7 +12,7 @@ from wlasdi.core import TimeGrid
 from wlasdi.burgers import (
     BurgersConfig,
     NewtonConvergenceError,
-    _cyclic_solve,
+    _StepFactors,
     fom_gradient_adjoint,
     fom_gradient_direct,
     fom_solve,
@@ -21,15 +22,18 @@ from wlasdi.burgers import (
     initial_condition_gradient,
     residual,
 )
+from wlasdi.sensitivity import fd_gradient
 
 MU_TARGET = np.array([0.75, 1.05, 0.85, 0.95])
+# the grid of the benchmark's runs (perfbench), at the default tolerance
+BENCH_GRID = BurgersConfig(dx=0.05, grid=TimeGrid(1.0, 150))
 
 
 def fom_step_jacobians(u_prev, u_next, cfg):
     """(dr_n/du_n, dr_n/du_{n-1}) for one step, as sparse matrices, from
     the definition dr_n/du_n = I + dt (diag(D u_n) + diag(u_n) D) with D
     the periodic one-sided difference matrix; the reference for
-    ``_cyclic_solve``."""
+    ``_StepFactors``."""
     u_next = np.asarray(u_next, dtype=float)
     n = u_next.size
     shift = 1 if cfg.upwind == "forward" else -1
@@ -133,8 +137,27 @@ class TestInitialConditionGradient:
         assert np.max(np.abs(dg - fd)) <= 1e-6 * max(np.max(np.abs(fd)), 1e-12)
 
     def test_index_out_of_range(self):
-        with pytest.raises(IndexError):
-            initial_condition_gradient([1, 1, 1, 1], 4, coarse_config())
+        for i in (4, -1):
+            with pytest.raises(IndexError):
+                initial_condition_gradient([1, 1, 1, 1], i, coarse_config())
+
+    def test_bit_equal_to_closed_form(self):
+        # the four partials as float64 scalars and mesh arrays compute them
+        cfg = BurgersConfig(dx=0.05)
+        x = cfg.mesh()
+        rng = np.random.default_rng(11)
+        mus = rng.uniform([0.0, 0.5, 0.0, 0.5], [1.0, 1.5, 1.0, 1.5], size=(50, 4))
+        mus[0, 1], mus[1, 3] = 0.91996, 0.50904  # pow and x*x round apart
+        for mu in mus:
+            a1, w1, a2, w2 = mu
+            closed_form = [
+                np.exp(-((x - 5.0) ** 2) / (2.0 * w1**2)),
+                a1 * ((x - 5.0) ** 2 / w1**3) * np.exp(-((x - 5.0) ** 2) / (2.0 * w1**2)),
+                np.exp(-((x + 5.0) ** 2) / (2.0 * w2**2)),
+                a2 * ((x + 5.0) ** 2 / w2**3) * np.exp(-((x + 5.0) ** 2) / (2.0 * w2**2)),
+            ]
+            for i, expected in enumerate(closed_form):
+                assert_array_equal(initial_condition_gradient(mu, i, cfg), expected)
 
 
 def picard_step(u_prev, cfg, tol=1e-14, max_iter=500):
@@ -197,7 +220,7 @@ class TestStep:
         assert exc.value.residual_norm == 0.5  # |dt * u * Du| at the -1
 
 
-class TestCyclicSolve:
+class TestStepFactors:
     @settings(max_examples=60, deadline=None)
     @given(
         n=st.integers(3, 24),
@@ -214,21 +237,32 @@ class TestCyclicSolve:
         rng = np.random.default_rng(seed)
         u = scale * rng.uniform(-1.0, 1.0, size=(k, n))
         rhs = rng.normal(size=(k, n, m))
-        x = _cyclic_solve(u, cfg, rhs, trans=trans)
+        factors = _StepFactors(u, cfg, trans=trans)
+        x = factors.solve(rhs.copy())
         for j in range(k):
             lu = splu(fom_step_jacobians(u[j], u[j], cfg)[0])
             ref = lu.solve(rhs[j], trans="T" if trans else "N")
             assert np.max(np.abs(x[j] - ref)) <= 1e-12 * np.max(np.abs(ref))
+            # one state of the stack, in place on a Fortran-ordered rhs
+            alone = np.asfortranarray(rhs[j])
+            assert_array_equal(factors.solve(alone, j), x[j])
+            assert np.shares_memory(factors.solve(alone, j), alone)
 
     def test_one_singular_state_leaves_the_others(self):
         cfg = BurgersConfig(x_min=0.0, x_max=4.0, dx=0.5, grid=TimeGrid(1.0, 4))
         good = np.linspace(-0.3, 0.4, cfg.n_points)
         bad = np.zeros(cfg.n_points)
         bad[3] = -1.0  # zero pivot, as in TestStep
-        rhs = np.ones((2, cfg.n_points))
-        x = _cyclic_solve(np.stack([bad, good]), cfg, rhs)
-        assert np.isnan(x[0]).all()
-        assert_array_equal(x[1], _cyclic_solve(good, cfg, rhs[1]))
+        rhs = np.ones((3, cfg.n_points))
+        for trans in (False, True):
+            factors = _StepFactors(np.stack([good, bad, good]), cfg, trans=trans)
+            x = factors.solve(rhs.copy())
+            assert np.isnan(x[1]).all()
+            alone = _StepFactors(good, cfg, trans=trans).solve(rhs[0].copy())
+            assert_array_equal(x[0], alone)
+            assert_array_equal(x[2], alone)
+            assert np.isnan(factors.solve(rhs[1].copy(), 1)).all()
+            assert_array_equal(factors.solve(rhs[2].copy(), 2), alone)
 
 
 class TestBatch:
@@ -324,6 +358,29 @@ class TestSolve:
         )
         assert ratio == pytest.approx(2.0, rel=0.25)
 
+    def test_bench_grid_needs_one_newton_update_per_step(self):
+        # steps after the first start from the extrapolation 2 u_{n-1} - u_{n-2}
+        cfg = BENCH_GRID
+        updates = []
+        solve = _StepFactors.solve
+
+        def counting(self, rhs, state=None):
+            updates.append(len(self.z))
+            return solve(self, rhs, state)
+
+        with mock.patch.object(_StepFactors, "solve", counting):
+            snap = fom_solve(MU_TARGET, cfg)
+        assert sum(updates) <= cfg.grid.steps + 1
+        for n in range(1, cfg.grid.steps + 1):
+            r = residual(snap.data[n], snap.data[n - 1], cfg)
+            assert np.max(np.abs(r)) <= cfg.newton_tol
+
+    def test_bench_grid_trajectory_near_tight_tolerance_solve(self):
+        mu = np.array([0.7, 1.1, 0.9, 0.9])
+        u = fom_solve(mu, BENCH_GRID).data
+        tight = fom_solve(mu, dataclasses.replace(BENCH_GRID, newton_tol=1e-14)).data
+        assert np.max(np.abs(u - tight)) <= 1e-7 * np.max(np.abs(tight))
+
     def test_forward_differencing_unstable_at_benchmark_scale(self):
         # Downwind differencing of the rightward-moving pulses diverges on
         # the fine benchmark grid; the upwind direction is the stable one.
@@ -364,15 +421,29 @@ class TestGradients:
         cfg, target = setup
         mu = np.array([0.8, 1.0, 0.8, 1.0])
         res = fom_gradient_adjoint(mu, cfg, target)
-        h = 1e-6
+        fd = fd_gradient(
+            lambda mus: [np.sum((s.data[-1] - target) ** 2) for s in fom_solve_batch(mus, cfg)],
+            mu, h=1e-6, block=True,
+        )
+        assert fd.value == res.value
         for i in range(4):
-            up, down = mu.copy(), mu.copy()
-            up[i] += h
-            down[i] -= h
-            f_up = np.sum((fom_solve(up, cfg).data[-1] - target) ** 2)
-            f_down = np.sum((fom_solve(down, cfg).data[-1] - target) ** 2)
-            fd = (f_up - f_down) / (2 * h)
-            assert abs(res.gradient[i] - fd) <= 1e-5 * abs(fd)
+            assert abs(res.gradient[i] - fd.gradient[i]) <= 1e-5 * abs(fd.gradient[i])
+
+    def test_factors_built_once_equal_step_by_step(self, setup):
+        # the reference builds a one-state factor at every step
+        cfg, target = setup
+        mu = np.array([0.8, 1.0, 0.8, 1.0])
+        traj = fom_solve(mu, cfg)
+        dfdu = 2.0 * (traj.data[-1] - target)
+        sens = np.column_stack([initial_condition_gradient(mu, i, cfg) for i in range(4)])
+        for state in traj.data[1:]:
+            sens = _StepFactors(state, cfg).solve(sens)
+        lam = dfdu.copy()
+        for state in traj.data[:0:-1]:
+            lam = _StepFactors(state, cfg, trans=True).solve(lam)
+        adjoint = [lam @ initial_condition_gradient(mu, i, cfg) for i in range(4)]
+        assert_array_equal(fom_gradient_direct(mu, cfg, target, traj).gradient, dfdu @ sens)
+        assert_array_equal(fom_gradient_adjoint(mu, cfg, target, traj).gradient, adjoint)
 
     def test_solved_trajectory_gives_the_same_bits(self, setup):
         cfg, target = setup

@@ -1,4 +1,5 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -111,16 +112,22 @@ class TestTrainPredictOptimize:
         assert report["converged"] == (report["stop_reason"] == "gradient")
 
     @pytest.mark.parametrize(
-        "option", [{"crossover": 1.5}, {"f_weight": 0.0}, {"max_gen": -1}]
+        "option",
+        [{"crossover": 1.5}, {"f_weight": 0.0}, {"max_gen": -1}, {"pop": 3},
+         {"pop": 20.5}, {"crossover": "high"}, {"seed": -1}],
     )
     def test_bad_de_option_is_a_usage_error(
         self, trained_dir, tmp_path, option, capsys
     ):
+        # refused when the config loads: a fresh output directory has no
+        # cached target, and no full-order solve may run
         cfg = dict(TINY, optimizers={"de": dict(TINY["optimizers"]["de"], **option)})
         path = tmp_path / "bad_de.json"
         path.write_text(json.dumps(cfg))
-        assert run(["--config", str(path), "--out", str(trained_dir), "optimize",
-                    "--model", str(trained_dir / "model"), "--optimizer", "de"]) == 1
+        with mock.patch("wlasdi.pipeline.fom_solve_batch", side_effect=AssertionError):
+            code = run(["--config", str(path), "--out", str(tmp_path / "out"), "optimize",
+                        "--model", str(trained_dir / "model"), "--optimizer", "de"])
+        assert code == 1
         assert next(iter(option)) in capsys.readouterr().err
 
     def test_stale_cached_target_is_a_usage_error(

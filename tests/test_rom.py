@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.linalg import expm
 
+from wlasdi.burgers import BurgersConfig, initial_condition
 from wlasdi.core import TimeGrid
 from wlasdi.rom import (
     ButcherTableau,
@@ -244,6 +247,22 @@ class TestLatentInitial:
         v0 = latent_initial(model, mu)
         assert v0.size == model.state_dim
         assert_array_equal(v0[-2:], mu)
+
+    @pytest.mark.parametrize("kind", ["global", "implicit"])
+    def test_block_rows_equal_single_calls(self, kind):
+        # the two-pulse profile maps blocks row by row exactly; 400 points
+        # are enough for a matrix product to round its rows differently
+        burgers = BurgersConfig(dx=0.05)
+        model = dataclasses.replace(
+            toy_model(n_state=400, latent_dim=9, n_mu=4, provider_kind=kind),
+            initial_state=lambda mu: initial_condition(mu, burgers),
+        )
+        mus = np.random.default_rng(3).uniform([0.7, 0.9, 0.7, 0.9], [0.9, 1.1, 0.9, 1.1],
+                                               size=(20, 4))
+        block = latent_initial(model, mus)
+        assert block.shape == (20, model.state_dim)
+        for mu, row in zip(mus, block):
+            assert_array_equal(row, latent_initial(model, mu))
 
     def test_augmented_sensitivity_mu_block_is_identity(self):
         model = toy_model(provider_kind="implicit")
