@@ -47,6 +47,7 @@ discrete objective and must agree to roundoff.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -132,35 +133,64 @@ def initial_condition(mu, cfg: BurgersConfig) -> np.ndarray:
     call. Every row is validated.
     """
     mu = np.asarray(mu, dtype=float)
-    if mu.ndim not in (1, 2) or mu.shape[-1] != 4:
+    if mu.shape == (4,):
+        # One vector, checked as floats: array checks would cost several
+        # times the two exps.
+        a1, w1, a2, w2 = mu.tolist()
+        if not all(map(math.isfinite, (a1, w1, a2, w2))):
+            raise ValueError("mu entries must be finite")
+        if w1 <= 0.0 or w2 <= 0.0:
+            raise ValueError("pulse widths must be positive")
+        exponents = _pulse_exponents(cfg)
+        return a1 * np.exp(exponents[0] / (2.0 * w1**2)) + a2 * np.exp(
+            exponents[1] / (2.0 * w2**2)
+        )
+    if mu.ndim != 2 or mu.shape[-1] != 4:
         raise ValueError("expected mu = [a1, w1, a2, w2], or rows of them")
     if not np.isfinite(mu).all():
         raise ValueError("mu entries must be finite")
-    rows = np.atleast_2d(mu)
-    widths = rows[:, 1::2].tolist()
+    widths = mu[:, 1::2].tolist()
     if any(w <= 0.0 for pair in widths for w in pair):
         raise ValueError("pulse widths must be positive")
     # Widths are squared by the C library's pow, as float64 scalars square;
     # an array's ** multiplies, which differs from it in the last bit for
     # some widths. Axes (row, pulse, point).
     var = 2.0 * np.array([[w**2 for w in pair] for pair in widths])[..., None]
-    g = rows[:, 0::2, None] * np.exp(_pulse_exponents(cfg) / var)
-    g = g[:, 0] + g[:, 1]
-    return g if mu.ndim == 2 else g[0]
+    g = mu[:, 0::2, None] * np.exp(_pulse_exponents(cfg) / var)
+    return g[:, 0] + g[:, 1]
 
 
 def initial_condition_gradient(mu, i: int, cfg: BurgersConfig) -> np.ndarray:
-    """Analytic partial derivative of the initial profile w.r.t. mu[i]."""
-    mu = as_vector(mu, "mu")
+    """Analytic partial derivative of the initial profile w.r.t. mu[i].
+
+    All four partials at one mu come from one pair of exps and are cached
+    for the last mu and ``cfg``, so the four calls of one gradient pay for
+    one pass. The returned array is read-only.
+    """
+    mu = np.asarray(mu, dtype=float)
+    if mu.shape != (4,):
+        raise ValueError(f"expected mu = [a1, w1, a2, w2], got shape {mu.shape}")
+    # Keyed by the bytes, so that -0.0 and 0.0 stay apart.
+    partials = _pulse_partials(mu.tobytes(), cfg)
     if i not in range(4):
         raise IndexError(f"parameter index {i} out of range for 4 parameters")
-    k = i // 2  # mu[i] belongs to pulse k: amplitude mu[2k], width mu[2k+1]
-    exponent = _pulse_exponents(cfg)[k]  # -(x - c_k)^2
-    amplitude, width = mu[2 * k], mu[2 * k + 1]
-    pulse = np.exp(exponent / (2.0 * width**2))
-    if i == 2 * k:
-        return pulse
-    return amplitude * (-exponent / width**3) * pulse
+    return partials[i]
+
+
+@functools.lru_cache(maxsize=1)
+def _pulse_partials(key: bytes, cfg: BurgersConfig) -> tuple:
+    """(dg/da1, dg/dw1, dg/da2, dg/dw2), each read-only, at the mu whose
+    float64 bytes are ``key``; refuses a non-finite mu (never cached)."""
+    mu = np.frombuffer(key).tolist()
+    if not all(map(math.isfinite, mu)):
+        raise ValueError("mu entries must be finite")
+    partials = []
+    for amplitude, width, exponent in zip(mu[0::2], mu[1::2], _pulse_exponents(cfg)):
+        pulse = np.exp(exponent / (2.0 * width**2))  # exponent = -(x - c_k)^2
+        partials += [pulse, amplitude * (-exponent / width**3) * pulse]
+    for partial in partials:
+        partial.flags.writeable = False
+    return tuple(partials)
 
 
 def _difference(u: np.ndarray, cfg: BurgersConfig) -> np.ndarray:

@@ -25,7 +25,7 @@ def as_vector(x, name: str = "vector") -> np.ndarray:
     v = np.asarray(x, dtype=float)
     if v.ndim != 1:
         raise ValueError(f"{name} must be 1-d, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError(f"{name} entries must be finite")
     return v
 
@@ -62,7 +62,9 @@ class ParameterDomain:
         return bool(np.all(mu >= self.lower - tol) and np.all(mu <= self.upper + tol))
 
     def clamp(self, mu) -> np.ndarray:
-        return np.clip(self.validate(mu), self.lower, self.upper)
+        # The same values as np.clip, at a fraction of its call overhead;
+        # the optimizers clamp every point they evaluate.
+        return np.minimum(np.maximum(self.validate(mu), self.lower), self.upper)
 
     def center(self) -> np.ndarray:
         return 0.5 * (self.lower + self.upper)

@@ -10,6 +10,7 @@ never report a point outside the box.
 """
 from __future__ import annotations
 
+import math
 import numbers
 import time
 from dataclasses import dataclass, field
@@ -26,7 +27,7 @@ __all__ = [
     "bfgs_minimize",
     "nelder_mead_minimize",
     "differential_evolution",
-    "check_de_options",
+    "check_options",
     "rbf_objective_surrogate",
 ]
 
@@ -79,7 +80,7 @@ def _penalized(problem: OptProblem, fn: _Counted, rho: float):
 
     def wrapped(x):
         xc = dom.clamp(x)
-        return fn(xc) + rho * float(np.sum((x - xc) ** 2))
+        return fn(xc) + rho * float(((x - xc) ** 2).sum())
 
     return wrapped
 
@@ -89,10 +90,8 @@ def _penalized_grad(problem: OptProblem, gn: _Counted, rho: float):
 
     def wrapped(x):
         xc = dom.clamp(x)
-        g = np.asarray(gn(xc), dtype=float).copy()
-        outside = x != xc
-        g[outside] = 0.0  # clamp has zero derivative in clipped components
-        return g + 2.0 * rho * (x - xc)
+        # clamp has zero derivative in clipped components
+        return np.where(x != xc, 0.0, gn(xc)) + 2.0 * rho * (x - xc)
 
     return wrapped
 
@@ -114,6 +113,10 @@ def bfgs_minimize(
     """
     if problem.gradient is None:
         raise ValueError("bfgs_minimize requires a gradient callable")
+    check_options(
+        "bfgs", grad_tol=grad_tol, max_iter=max_iter, armijo_c=armijo_c,
+        backtrack=backtrack, max_backtracks=max_backtracks,
+    )
     t0 = time.perf_counter()
     fn = _Counted(problem.evaluate)
     gn = _Counted(problem.gradient)
@@ -123,8 +126,11 @@ def bfgs_minimize(
     f = _penalized(problem, fn, rho)
     g = _penalized_grad(problem, gn, rho)
 
-    n = x.size
-    hess_inv = np.eye(n)
+    eye = np.eye(x.size)
+    hess_inv = eye
+    # Steps shorter than this times max(1, |x|) move x by less than f can
+    # resolve.
+    min_step_factor = math.sqrt(np.finfo(float).eps)
     fx = f0
     gx = g(x)
     trace = [(x.copy(), fx)]
@@ -132,20 +138,20 @@ def bfgs_minimize(
     best_x, best_f = x.copy(), fx
 
     for _ in range(max_iter):
-        if np.max(np.abs(gx)) <= grad_tol:
+        if np.abs(gx).max() <= grad_tol:
             stop_reason = "gradient"
             break
         p = -hess_inv @ gx
         slope = float(gx @ p)
         if slope >= 0.0:  # reset on a non-descent direction
-            hess_inv = np.eye(n)
+            hess_inv = eye
             p = -gx
             slope = float(gx @ p)
         alpha = 1.0
         f_new = None
-        # Steps shorter than this move x by less than f can resolve.
-        min_step = np.sqrt(np.finfo(float).eps) * max(1.0, np.linalg.norm(x))
-        p_norm = np.linalg.norm(p)
+        # Euclidean norms as sqrt(v @ v), the same numbers as np.linalg.norm.
+        min_step = min_step_factor * max(1.0, math.sqrt(x @ x))
+        p_norm = math.sqrt(p @ p)
         for _ in range(max_backtracks):
             trial = x + alpha * p
             f_trial = f(trial)
@@ -165,16 +171,17 @@ def bfgs_minimize(
         s = x_new - x
         y = g_new - gx
         sy = float(s @ y)
-        if sy > 1e-10 * np.linalg.norm(s) * np.linalg.norm(y):
+        if sy > 1e-10 * math.sqrt(s @ s) * math.sqrt(y @ y):
             rho_k = 1.0 / sy
-            v = np.eye(n) - rho_k * np.outer(s, y)
-            hess_inv = v @ hess_inv @ v.T + rho_k * np.outer(s, s)
+            # s[:, None] * y is np.outer(s, y) without its call overhead.
+            v = eye - rho_k * (s[:, None] * y)
+            hess_inv = v @ hess_inv @ v.T + rho_k * (s[:, None] * s)
         x, fx, gx = x_new, f_new, g_new
         trace.append((problem.domain.clamp(x), fx))
         if fx < best_f:
             best_x, best_f = x.copy(), fx
     else:
-        if np.max(np.abs(gx)) <= grad_tol:
+        if np.abs(gx).max() <= grad_tol:
             stop_reason = "gradient"
 
     if fx < best_f:
@@ -203,6 +210,7 @@ def nelder_mead_minimize(
     vertices are the clamped points so the simplex never leaves the box.
     Converged once the simplex diameter drops below ``tol``.
     """
+    check_options("nelder_mead", tol=tol, max_iter=max_iter, initial_step=initial_step)
     t0 = time.perf_counter()
     fn = _Counted(problem.evaluate)
     dom = problem.domain
@@ -268,7 +276,20 @@ def nelder_mead_minimize(
     )
 
 
-# Valid values of the differential_evolution options: type, test, range.
+# Valid values of each optimizer's options: type, test, range. A bool is
+# refused although Python counts it as an integer.
+_BFGS_OPTION_RANGES = {
+    "grad_tol": (numbers.Real, lambda v: 0.0 <= v < math.inf, "finite and >= 0"),
+    "max_iter": (numbers.Integral, lambda v: v >= 0, ">= 0"),
+    "armijo_c": (numbers.Real, lambda v: 0.0 < v < 1.0, "in (0, 1)"),
+    "backtrack": (numbers.Real, lambda v: 0.0 < v < 1.0, "in (0, 1)"),
+    "max_backtracks": (numbers.Integral, lambda v: v >= 1, ">= 1"),
+}
+_NELDER_MEAD_OPTION_RANGES = {
+    "tol": (numbers.Real, lambda v: 0.0 <= v < math.inf, "finite and >= 0"),
+    "max_iter": (numbers.Integral, lambda v: v >= 0, ">= 0"),
+    "initial_step": (numbers.Real, lambda v: 0.0 < v < math.inf, "finite and > 0"),
+}
 _DE_OPTION_RANGES = {
     "pop": (numbers.Integral, lambda v: v >= 4, ">= 4"),
     "f_weight": (numbers.Real, lambda v: 0.0 < v <= 2.0, "in (0, 2]"),
@@ -276,16 +297,23 @@ _DE_OPTION_RANGES = {
     "max_gen": (numbers.Integral, lambda v: v >= 0, ">= 0"),
     "seed": (numbers.Integral, lambda v: v >= 0, ">= 0"),
 }
+_OPTION_RANGES = {
+    "bfgs": _BFGS_OPTION_RANGES,
+    "nelder_mead": _NELDER_MEAD_OPTION_RANGES,
+    "de": _DE_OPTION_RANGES,
+}
 
 
-def check_de_options(**options) -> None:
-    """Raise ValueError if a given ``differential_evolution`` option is out
-    of its range; ``ExperimentConfig`` checks its DE options with it when it
-    loads."""
+def check_options(optimizer: str, **options) -> None:
+    """Raise ValueError if a given option of ``optimizer`` ("bfgs",
+    "nelder_mead" or "de") is of the wrong type or out of its range; the
+    optimizer checks its options with it when it starts, and
+    ``ExperimentConfig`` when it loads."""
+    ranges = _OPTION_RANGES[optimizer]
     for name, value in options.items():
-        kind, valid, bounds = _DE_OPTION_RANGES[name]
-        if not (isinstance(value, kind) and valid(value)):
-            raise ValueError(f"DE option {name} must be {bounds}, got {value!r}")
+        kind, valid, bounds = ranges[name]
+        if isinstance(value, bool) or not (isinstance(value, kind) and valid(value)):
+            raise ValueError(f"{optimizer} option {name} must be {bounds}, got {value!r}")
 
 
 def differential_evolution(
@@ -310,8 +338,8 @@ def differential_evolution(
     None). A trial replaces its target if it is no worse. ``n_func`` counts
     rows, pop * (max_gen + 1). Bit-deterministic for a fixed seed.
     """
-    check_de_options(
-        pop=pop, f_weight=f_weight, crossover=crossover, max_gen=max_gen, seed=seed
+    check_options(
+        "de", pop=pop, f_weight=f_weight, crossover=crossover, max_gen=max_gen, seed=seed
     )
     t0 = time.perf_counter()
     dom = problem.domain

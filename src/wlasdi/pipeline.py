@@ -45,7 +45,7 @@ from .optimize import (
     OptProblem,
     OptResult,
     bfgs_minimize,
-    check_de_options,
+    check_options,
     differential_evolution,
     nelder_mead_minimize,
     rbf_objective_surrogate,
@@ -167,8 +167,7 @@ class ExperimentConfig:
                 raise ValueError(
                     f"unknown {name} options: {sorted(set(opts) - accepted)}"
                 )
-            if name == "de":
-                check_de_options(**opts)
+            check_options(name, **opts)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":

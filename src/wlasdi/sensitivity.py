@@ -82,7 +82,7 @@ class TargetMismatch:
         object.__setattr__(self, "target", np.asarray(self.target, dtype=float))
 
     def value(self, u_final: np.ndarray) -> float:
-        return float(np.sum((u_final - self.target) ** 2))
+        return float(((u_final - self.target) ** 2).sum())
 
     def values(self, u_final: np.ndarray) -> np.ndarray:
         """f for each row of a block of final states (m, n_state)."""
@@ -95,7 +95,7 @@ class TargetMismatch:
         return 2.0 * (u_n - self.target)
 
     def mu_gradient(self, mu: np.ndarray) -> np.ndarray:
-        return np.zeros_like(np.asarray(mu, dtype=float))
+        return np.zeros(np.shape(mu))
 
 
 def _objective_rows(model: LatentModel, objective, z: np.ndarray):
@@ -192,6 +192,12 @@ class SurrogateObjective:
     the adjoint sweep, so a blow-up raises ``LatentBlowupError`` at the same
     step as ``integrate_latent``.
 
+    On the propagator path the object keeps the decoded final state u_N of
+    the last mu it evaluated, keyed by the bytes of mu. A gradient at the
+    mu whose f was just taken, which is where a line search asks for it,
+    reuses u_N instead of encoding g(mu) again; the numbers are those of a
+    fresh evaluation.
+
     ``values(mus)`` evaluates f for a block of parameter rows; on the
     propagator path the block costs one encode, one product and one decode.
     """
@@ -206,6 +212,7 @@ class SurrogateObjective:
             and tuple(objective.active_indices(n_steps)) == (n_steps,)
         )
         self._final_map = None
+        self._last = None  # (mu.tobytes(), u_N), read-only u_N
 
     def _propagator(self, mu: np.ndarray):
         """(P, p), built on first use, or None if the certificate fails."""
@@ -220,24 +227,56 @@ class SurrogateObjective:
         return self._final_map
 
     def _final_state(self, mu: np.ndarray):
-        """z_N from the propagator, or None where the sweeps must run."""
+        """Decoded u_N from the propagator, or None where the sweeps must run.
+
+        The same numbers as ``decode_state(P latent_initial(mu) + p)``,
+        without their reshapes.
+        """
         if not self._final_time:
             return None
-        z0 = latent_initial(self.model, mu)
-        if not np.all(np.isfinite(z0)):
+        key = mu.tobytes()
+        if self._last is not None and self._last[0] == key:
+            return self._last[1]
+        model = self.model
+        reducer = model.reducer
+        u0 = model.initial_state(mu)
+        if reducer.mean is not None:
+            u0 = u0 - reducer.mean
+        z0 = (u0[None] @ reducer.basis)[0]  # one row, as latent_initial encodes
+        if model.augmented:
+            z0 = np.concatenate([z0, mu])
+        if not np.isfinite(z0).all():
             return None
         final_map = self._propagator(mu)
         if final_map is None:
             return None
         p_mat, p_vec = final_map
-        return p_mat @ z0 + p_vec
+        u_final = (p_mat @ z0 + p_vec)[: reducer.latent_dim] @ reducer.basis.T
+        if reducer.mean is not None:
+            u_final = u_final + reducer.mean
+        u_final.flags.writeable = False
+        self._last = (key, u_final)
+        return u_final
+
+    def _initial_sensitivity(self, mu: np.ndarray) -> np.ndarray:
+        """dz_0/dmu, the numbers of ``latent_initial_sensitivity``, filled
+        into one block."""
+        model = self.model
+        enc = model.reducer.encoder_jacobian()
+        k = model.reducer.latent_dim
+        sens = np.empty((model.state_dim, mu.size))
+        for i in range(mu.size):
+            sens[:k, i] = enc @ model.initial_state_gradient(mu, i)
+        if model.augmented:
+            sens[k:] = np.eye(mu.size)
+        return sens
 
     def __call__(self, mu) -> float:
         mu = np.asarray(mu, dtype=float)
-        z_final = self._final_state(mu)
-        if z_final is None:
-            z_final = integrate_latent(self.model, mu)[-1]
-        return self.objective.value(self.model.decode_state(z_final))
+        u_final = self._final_state(mu)
+        if u_final is None:
+            u_final = self.model.decode_state(integrate_latent(self.model, mu)[-1])
+        return self.objective.value(u_final)
 
     def values(self, mus) -> np.ndarray:
         """f at each row of ``mus`` (m, n_mu), shape (m,).
@@ -275,17 +314,17 @@ class SurrogateObjective:
     def gradient(self, mu) -> np.ndarray:
         mu = np.asarray(mu, dtype=float)
         model, objective = self.model, self.objective
-        z_final = self._final_state(mu)
-        if z_final is None:
+        u_final = self._final_state(mu)
+        if u_final is None:
             return reduced_adjoint_gradient(model, mu, objective).gradient
-        n_steps = model.grid.steps
-        u_final = model.decode_state(z_final)
-        row = model.output_pullback(objective.state_gradient(n_steps, u_final))
+        row = model.output_pullback(objective.state_gradient(model.grid.steps, u_final))
         grad = np.asarray(objective.mu_gradient(mu), dtype=float) + (
             row @ self._final_map[0]
-        ) @ latent_initial_sensitivity(model, mu)
-        # GradientResult rejects a non-finite gradient, as the sweeps do.
-        return GradientResult(objective.value(u_final), grad, "final_time").gradient
+        ) @ self._initial_sensitivity(mu)
+        # Refused as GradientResult refuses it for the sweeps.
+        if not np.isfinite(grad).all():
+            raise ValueError("gradient entries must be finite")
+        return grad
 
 
 def surrogate_objective(model: LatentModel, objective) -> SurrogateObjective:

@@ -76,6 +76,26 @@ class TestInitialCondition:
         with pytest.raises(ValueError):
             initial_condition([0.5, -1.0, 0.5, 1.0], coarse_config())
 
+    @pytest.mark.parametrize("width", [0.0, -0.0, -1.0])
+    @pytest.mark.parametrize("column", [1, 3])
+    def test_nonpositive_width_in_either_pulse_rejected(self, column, width):
+        mu = [0.5, 1.0, 0.5, 1.0]
+        mu[column] = width
+        with pytest.raises(ValueError, match="widths must be positive"):
+            initial_condition(mu, coarse_config())
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("column", range(4))
+    def test_non_finite_entry_rejected(self, column, value):
+        mu = np.array([0.5, 1.0, 0.5, 1.0])
+        mu[column] = value
+        with pytest.raises(ValueError, match="must be finite"):
+            initial_condition(mu, coarse_config())
+        mus = np.tile([0.5, 1.0, 0.5, 1.0], (3, 1))
+        mus[1] = mu
+        with pytest.raises(ValueError, match="must be finite"):
+            initial_condition(mus, coarse_config())
+
     def test_block_rows_equal_single_calls(self):
         cfg = BurgersConfig(dx=0.05)
         rng = np.random.default_rng(5)
@@ -103,7 +123,7 @@ class TestInitialCondition:
         with pytest.raises(ValueError, match="widths must be positive"):
             initial_condition(mus, coarse_config())
 
-    @pytest.mark.parametrize("shape", [(3,), (2, 5), (1, 2, 4)])
+    @pytest.mark.parametrize("shape", [(3,), (2, 5), (1, 2, 4), (), (5,)])
     def test_bad_shape_rejected(self, shape):
         with pytest.raises(ValueError, match="expected mu"):
             initial_condition(np.ones(shape), coarse_config())
@@ -141,6 +161,15 @@ class TestInitialConditionGradient:
             with pytest.raises(IndexError):
                 initial_condition_gradient([1, 1, 1, 1], i, coarse_config())
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("column", range(4))
+    def test_non_finite_mu_rejected(self, column, value):
+        mu = np.array([0.8, 1.0, 0.85, 0.95])
+        mu[column] = value
+        for i in range(4):
+            with pytest.raises(ValueError, match="must be finite"):
+                initial_condition_gradient(mu, i, coarse_config())
+
     def test_bit_equal_to_closed_form(self):
         # the four partials as float64 scalars and mesh arrays compute them
         cfg = BurgersConfig(dx=0.05)
@@ -158,6 +187,45 @@ class TestInitialConditionGradient:
             ]
             for i, expected in enumerate(closed_form):
                 assert_array_equal(initial_condition_gradient(mu, i, cfg), expected)
+
+    def test_interleaved_mu_and_configs_bit_equal_to_closed_form(self):
+        # the cache holds one (mu, cfg); alternating between two of each must
+        # never hand back another point's partials
+        configs = [BurgersConfig(dx=0.05), coarse_config()]
+        mus = np.random.default_rng(12).uniform(
+            [0.0, 0.5, 0.0, 0.5], [1.0, 1.5, 1.0, 1.5], size=(2, 4)
+        )
+        mus[1, 0] = -0.0  # -0.0 and 0.0 are cached apart
+        calls = [(mu, cfg, i) for i in (3, 0, 2, 1) for cfg in configs for mu in mus]
+        calls.append((np.array([0.0, *mus[1, 1:]]), configs[1], 1))
+        for mu, cfg, i in calls:
+            x = cfg.mesh()
+            center = 5.0 if i < 2 else -5.0
+            amplitude, width = mu[2 * (i // 2)], mu[2 * (i // 2) + 1]
+            pulse = np.exp(-((x - center) ** 2) / (2.0 * width**2))
+            expected = pulse if i % 2 == 0 else (
+                amplitude * ((x - center) ** 2 / width**3) * pulse
+            )
+            got = initial_condition_gradient(mu, i, cfg)
+            assert_array_equal(got, expected)
+            assert np.signbit(got).tolist() == np.signbit(expected).tolist()
+
+    def test_cached_partials_are_read_only(self):
+        cfg = coarse_config()
+        mu = [0.8, 1.0, 0.85, 0.95]
+        for i in range(4):
+            dg = initial_condition_gradient(mu, i, cfg)
+            assert not dg.flags.writeable
+            with pytest.raises(ValueError):
+                dg[0] = 1.0
+        assert_array_equal(
+            initial_condition_gradient(mu, 0, cfg), initial_condition([1.0, 1.0, 0.0, 1.0], cfg)
+        )
+
+    @pytest.mark.parametrize("shape", [(3,), (5,), (1, 4)])
+    def test_wrong_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match="expected mu"):
+            initial_condition_gradient(np.ones(shape), 0, coarse_config())
 
 
 def picard_step(u_prev, cfg, tol=1e-14, max_iter=500):

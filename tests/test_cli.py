@@ -130,6 +130,30 @@ class TestTrainPredictOptimize:
         assert code == 1
         assert next(iter(option)) in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "optimizer, option",
+        [("bfgs", {"max_iter": "200"}), ("bfgs", {"max_iter": 2.5}),
+         ("bfgs", {"max_iter": -1}), ("bfgs", {"max_iter": True}),
+         ("bfgs", {"grad_tol": "1e-8"}), ("bfgs", {"grad_tol": -1e-8}),
+         ("bfgs", {"max_backtracks": 0}), ("bfgs", {"max_backtracks": 4.0}),
+         ("nelder_mead", {"tol": None}), ("nelder_mead", {"tol": -1.0}),
+         ("nelder_mead", {"max_iter": "300"}), ("nelder_mead", {"max_iter": -5}),
+         ("nelder_mead", {"initial_step": 0.0}), ("nelder_mead", {"initial_step": [0.05]})],
+    )
+    def test_bad_bfgs_or_nelder_mead_option_is_a_usage_error(
+        self, trained_dir, tmp_path, optimizer, option, capsys
+    ):
+        # as for DE: refused when the config loads, before any solve
+        opts = dict(TINY["optimizers"][optimizer], **option)
+        cfg = dict(TINY, optimizers={optimizer: opts})
+        path = tmp_path / f"bad_{optimizer}.json"
+        path.write_text(json.dumps(cfg))
+        with mock.patch("wlasdi.pipeline.fom_solve_batch", side_effect=AssertionError):
+            code = run(["--config", str(path), "--out", str(tmp_path / "out"), "optimize",
+                        "--model", str(trained_dir / "model"), "--optimizer", optimizer])
+        assert code == 1
+        assert next(iter(option)) in capsys.readouterr().err
+
     def test_stale_cached_target_is_a_usage_error(
         self, tiny_config_path, trained_dir, capsys
     ):

@@ -29,6 +29,21 @@ class TestDomainTypes:
         assert_allclose(dom.clamp([1.5, -2.0]), [1.0, -1.0])
         assert_allclose(dom.center(), [0.5, 0.0])
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_clamp_refuses_non_finite(self, value):
+        dom = ParameterDomain([0.0, -1.0], [1.0, 1.0])
+        for k in range(2):
+            mu = np.array([0.5, 0.0])
+            mu[k] = value
+            with pytest.raises(ValueError, match="must be finite"):
+                dom.clamp(mu)
+
+    @pytest.mark.parametrize("shape", [(1,), (3,), (2, 1), (1, 2)])
+    def test_clamp_refuses_wrong_size(self, shape):
+        dom = ParameterDomain([0.0, -1.0], [1.0, 1.0])
+        with pytest.raises(ValueError):
+            dom.clamp(np.zeros(shape))
+
     def test_domain_sampling_inside(self):
         dom = ParameterDomain([0.7, 0.9, 0.7, 0.9], [0.9, 1.1, 0.9, 1.1])
         pts = dom.sample(np.random.default_rng(0), 50)

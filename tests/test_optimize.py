@@ -1,9 +1,12 @@
+import inspect
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from wlasdi.core import ParameterDomain
 from wlasdi.optimize import (
+    _OPTION_RANGES,
     OptProblem,
     bfgs_minimize,
     differential_evolution,
@@ -241,6 +244,11 @@ class TestDifferentialEvolution:
         with pytest.raises(ValueError, match=match):
             differential_evolution(problem, **option)
 
+    def test_bool_option_rejected(self):
+        problem = OptProblem(ParameterDomain([-1.0], [1.0]), lambda x: float(x[0] ** 2))
+        with pytest.raises(ValueError, match="max_gen"):
+            differential_evolution(problem, max_gen=True)
+
     def test_zero_generations_scores_the_initial_population(self):
         dom = ParameterDomain([-1.0, -1.0], [1.0, 1.0])
         problem = OptProblem(dom, lambda x: float(np.sum(np.asarray(x) ** 2)),
@@ -327,3 +335,29 @@ class TestStopReason:
         problem = OptProblem(dom, lambda x: float(np.sum(np.asarray(x) ** 2)))
         res = differential_evolution(problem, pop=6, seed=0, max_gen=3)
         assert res.stop_reason == "max_gen"
+
+
+class TestOptionRanges:
+    """One range table per optimizer, checked when the optimizer starts."""
+
+    @pytest.mark.parametrize("minimize", [bfgs_minimize, nelder_mead_minimize, differential_evolution])
+    def test_table_covers_every_option(self, minimize):
+        name = {"bfgs_minimize": "bfgs", "nelder_mead_minimize": "nelder_mead",
+                "differential_evolution": "de"}[minimize.__name__]
+        options = set(inspect.signature(minimize).parameters) - {"problem"}
+        assert set(_OPTION_RANGES[name]) == options
+
+    @pytest.mark.parametrize(
+        "minimize, option",
+        [(bfgs_minimize, {"grad_tol": np.nan}), (bfgs_minimize, {"max_iter": 3.0}),
+         (bfgs_minimize, {"armijo_c": 1.0}), (bfgs_minimize, {"backtrack": 0.0}),
+         (bfgs_minimize, {"max_backtracks": 0}), (nelder_mead_minimize, {"tol": np.inf}),
+         (nelder_mead_minimize, {"max_iter": -1}), (nelder_mead_minimize, {"initial_step": -0.1})],
+    )
+    def test_bad_options_rejected_before_any_evaluation(self, minimize, option):
+        def evaluate(x):
+            raise AssertionError("evaluated")
+
+        problem = OptProblem(ParameterDomain([-1.0], [1.0]), evaluate, gradient=evaluate)
+        with pytest.raises(ValueError, match=next(iter(option))):
+            minimize(problem, **option)

@@ -7,12 +7,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from wlasdi.burgers import BurgersConfig, initial_condition, initial_condition_gradient
+from wlasdi.core import TimeGrid
+from wlasdi.features import FeatureLibrary
+from wlasdi.pod import LinearReducer
+from wlasdi.providers import ImplicitCoefficients
 from wlasdi.rom import (
     _BLOWUP_FACTOR,
     ButcherTableau,
     LatentBlowupError,
+    LatentModel,
     StepOperator,
     integrate_latent,
+    latent_initial,
+    latent_initial_sensitivity,
     predict_full,
 )
 from wlasdi.sensitivity import (
@@ -331,3 +339,132 @@ class TestFinalTimePropagator:
         with pytest.raises(LatentBlowupError) as exc:
             surrogate_objective(model, objective).values(block)
         assert (exc.value.step, exc.value.norm) == (ref.value.step, ref.value.norm)
+
+
+def centered(model):
+    """``model`` with a reducer that subtracts a mean state."""
+    mean = np.random.default_rng(8).normal(size=model.reducer.n_state)
+    return dataclasses.replace(model, reducer=LinearReducer(model.reducer.basis, mean))
+
+
+def reference_final_time(model, objective, mu):
+    """f and g on the propagator path, composed from the rom functions the
+    lean path must reproduce bit for bit."""
+    op = StepOperator(model, model.provider.coefficients(mu))
+    d = model.state_dim
+    power = op.propagator()[0]
+    p_mat, p_vec = power[:d, :d], power[:d, d]
+    u_final = model.decode_state(p_mat @ latent_initial(model, mu) + p_vec)
+    row = model.output_pullback(objective.state_gradient(model.grid.steps, u_final))
+    grad = objective.mu_gradient(mu) + (row @ p_mat) @ latent_initial_sensitivity(model, mu)
+    return objective.value(u_final), grad
+
+
+def burgers_latent_model():
+    """A degree-1 implicit latent model started from the Burgers pulses."""
+    cfg = BurgersConfig(dx=0.1, grid=TimeGrid(0.3, 30))
+    n_modes = 4
+    rng = np.random.default_rng(0)
+    basis, _ = np.linalg.qr(rng.normal(size=(cfg.n_points, n_modes)))
+    lib = FeatureLibrary(latent_dim=n_modes, degree=1, n_mu=4)
+    w = 0.3 * rng.normal(size=(lib.size, lib.dim))
+    w[1 : 1 + lib.dim] -= 0.5 * np.eye(lib.dim)
+    model = LatentModel(
+        reducer=LinearReducer(basis),
+        library=lib,
+        provider=ImplicitCoefficients(w),
+        grid=cfg.grid,
+        initial_state=lambda mu: initial_condition(mu, cfg),
+        initial_state_gradient=lambda mu, i: initial_condition_gradient(mu, i, cfg),
+    )
+    target = predict_full(model, np.array([0.75, 1.05, 0.85, 0.95])).data[-1]
+    return model, TargetMismatch(target)
+
+
+class TestLeanFinalTime:
+    """The final-time path keeps the last u_N and builds z_0, u_N and dz_0/dmu
+    itself; every number stays that of the reference composition."""
+
+    @pytest.mark.parametrize("center", [False, True])
+    @pytest.mark.parametrize("tableau", ["euler", "rk4"])
+    @pytest.mark.parametrize("kind", ["global", "implicit"])
+    @settings(max_examples=10, deadline=None)
+    @given(mu=mus)
+    def test_bit_equal_to_reference_composition(self, kind, tableau, center, mu):
+        model, objective = final_time_case(kind, 1, tableau)
+        if center:
+            model = centered(model)
+        f_ref, g_ref = reference_final_time(model, objective, mu)
+        evaluate = surrogate_objective(model, objective)
+        with mock.patch.object(StepOperator, "trajectory", no_time_loop):
+            f, g = evaluate(mu), evaluate.gradient(mu)
+            g_cold = surrogate_objective(model, objective).gradient(mu)
+        assert f == f_ref
+        assert_array_equal(g, g_ref)
+        assert_array_equal(g_cold, g_ref)
+
+    @pytest.mark.parametrize("kind", ["global", "implicit"])
+    def test_interleaved_calls_equal_fresh_objective(self, kind):
+        model, objective = final_time_case(kind, 1, "rk4")
+        mu1, mu2 = np.array([0.3, 0.6]), np.array([0.55, 0.25])
+        block = np.array([mu2, mu1, [0.8, 0.1]])
+        evaluate = surrogate_objective(model, objective)
+
+        def fresh():
+            return surrogate_objective(model, objective)
+
+        assert evaluate(mu1) == fresh()(mu1)
+        assert_array_equal(evaluate.gradient(mu2), fresh().gradient(mu2))
+        assert evaluate(mu2) == fresh()(mu2)
+        assert_array_equal(evaluate.gradient(mu1), fresh().gradient(mu1))
+        assert_array_equal(evaluate.values(block), fresh().values(block))
+        assert evaluate(mu1.copy()) == fresh()(mu1)
+        assert_array_equal(evaluate.gradient(mu2), fresh().gradient(mu2))
+
+    def test_non_finite_initial_state_steps_after_a_cached_point(self):
+        model, objective = final_time_case("global", 1, "rk4")
+        g = model.initial_state
+
+        def initial_state(mu):
+            return np.where(np.asarray(mu)[..., :1] == 0.5, np.nan, g(mu))
+
+        model = dataclasses.replace(model, initial_state=initial_state)
+        good, bad = np.array([0.3, 0.6]), np.array([0.5, 0.4])
+        evaluate = surrogate_objective(model, objective)
+        f_good, g_good = evaluate(good), evaluate.gradient(good)
+        for call in (evaluate, evaluate.gradient):
+            with pytest.raises(LatentBlowupError) as exc:
+                call(bad)
+            assert exc.value.step == 1
+        with pytest.raises(LatentBlowupError):
+            evaluate.values(np.array([good, bad]))
+        assert evaluate(good) == f_good
+        assert_array_equal(evaluate.gradient(good), g_good)
+
+    def test_gradient_after_f_reencodes_nothing(self):
+        # counted through wrapped callables: the gradient at the point f just
+        # took reads its u_N, and its four partials cost one pair of exps
+        model, objective = burgers_latent_model()
+        calls = {"initial_state": 0}
+        g = model.initial_state
+
+        def initial_state(mu):
+            calls["initial_state"] += 1
+            return g(mu)
+
+        counted = dataclasses.replace(model, initial_state=initial_state)
+        evaluate = surrogate_objective(counted, objective)
+        mu = np.array([0.8, 0.95, 0.75, 1.05])
+        evaluate(mu)
+        assert calls["initial_state"] == 1
+        with mock.patch.object(np, "exp", wraps=np.exp) as exp:
+            grad = evaluate.gradient(mu)
+        assert calls["initial_state"] == 1
+        assert exp.call_count == 2
+        assert all(call.args[0].shape == (model.reducer.n_state,) for call in exp.call_args_list)
+        f_ref, g_ref = reference_final_time(model, objective, mu)
+        assert evaluate(mu) == f_ref
+        assert_array_equal(grad, g_ref)
+        evaluate.gradient(np.array([0.7, 1.0, 0.9, 0.9]))
+        assert calls["initial_state"] == 2
+
