@@ -180,14 +180,17 @@ def latent_initial_sensitivity(model: LatentModel, mu) -> np.ndarray:
     """d(latent initial)/dmu, shape (state_dim, n_mu).
 
     The latent block is encoder_jacobian @ dg/dmu_i; the augmented block is
-    the identity (the parameter enters the state verbatim).
+    the identity (the parameter enters the state verbatim). Both are filled
+    into one block.
     """
     mu = np.asarray(mu, dtype=float)
     enc = model.reducer.encoder_jacobian()
-    cols = [enc @ model.initial_state_gradient(mu, i) for i in range(mu.size)]
-    sens = np.column_stack(cols)
+    k = model.reducer.latent_dim
+    sens = np.empty((model.state_dim, mu.size))
+    for i in range(mu.size):
+        sens[:k, i] = enc @ model.initial_state_gradient(mu, i)
     if model.augmented:
-        sens = np.vstack([sens, np.eye(mu.size)])
+        sens[k:] = np.eye(mu.size)
     return sens
 
 

@@ -227,49 +227,24 @@ class SurrogateObjective:
         return self._final_map
 
     def _final_state(self, mu: np.ndarray):
-        """Decoded u_N from the propagator, or None where the sweeps must run.
-
-        The same numbers as ``decode_state(P latent_initial(mu) + p)``,
-        without their reshapes.
-        """
+        """Decoded u_N = decode_state(P latent_initial(mu) + p), or None
+        where the sweeps must run; the last one is kept."""
         if not self._final_time:
             return None
         key = mu.tobytes()
         if self._last is not None and self._last[0] == key:
             return self._last[1]
-        model = self.model
-        reducer = model.reducer
-        u0 = model.initial_state(mu)
-        if reducer.mean is not None:
-            u0 = u0 - reducer.mean
-        z0 = (u0[None] @ reducer.basis)[0]  # one row, as latent_initial encodes
-        if model.augmented:
-            z0 = np.concatenate([z0, mu])
+        z0 = latent_initial(self.model, mu)
         if not np.isfinite(z0).all():
             return None
         final_map = self._propagator(mu)
         if final_map is None:
             return None
         p_mat, p_vec = final_map
-        u_final = (p_mat @ z0 + p_vec)[: reducer.latent_dim] @ reducer.basis.T
-        if reducer.mean is not None:
-            u_final = u_final + reducer.mean
+        u_final = self.model.decode_state(p_mat @ z0 + p_vec)
         u_final.flags.writeable = False
         self._last = (key, u_final)
         return u_final
-
-    def _initial_sensitivity(self, mu: np.ndarray) -> np.ndarray:
-        """dz_0/dmu, the numbers of ``latent_initial_sensitivity``, filled
-        into one block."""
-        model = self.model
-        enc = model.reducer.encoder_jacobian()
-        k = model.reducer.latent_dim
-        sens = np.empty((model.state_dim, mu.size))
-        for i in range(mu.size):
-            sens[:k, i] = enc @ model.initial_state_gradient(mu, i)
-        if model.augmented:
-            sens[k:] = np.eye(mu.size)
-        return sens
 
     def __call__(self, mu) -> float:
         mu = np.asarray(mu, dtype=float)
@@ -320,7 +295,7 @@ class SurrogateObjective:
         row = model.output_pullback(objective.state_gradient(model.grid.steps, u_final))
         grad = np.asarray(objective.mu_gradient(mu), dtype=float) + (
             row @ self._final_map[0]
-        ) @ self._initial_sensitivity(mu)
+        ) @ latent_initial_sensitivity(model, mu)
         # Refused as GradientResult refuses it for the sweeps.
         if not np.isfinite(grad).all():
             raise ValueError("gradient entries must be finite")

@@ -264,6 +264,16 @@ class TestLatentInitial:
         for mu, row in zip(mus, block):
             assert_array_equal(row, latent_initial(model, mu))
 
+    @pytest.mark.parametrize("kind", ["global", "implicit"])
+    def test_sensitivity_bit_equal_to_stacked_columns(self, kind):
+        model = toy_model(provider_kind=kind)
+        mu = np.array([0.45, 0.55])
+        enc = model.reducer.encoder_jacobian()
+        stacked = np.column_stack([enc @ model.initial_state_gradient(mu, i) for i in range(2)])
+        if model.augmented:
+            stacked = np.vstack([stacked, np.eye(2)])
+        assert_array_equal(latent_initial_sensitivity(model, mu), stacked)
+
     def test_augmented_sensitivity_mu_block_is_identity(self):
         model = toy_model(provider_kind="implicit")
         sens = latent_initial_sensitivity(model, np.array([0.3, 0.5]))
